@@ -21,7 +21,7 @@ print("norm formula: ||g|| = min(circdist(0,g), 160)/360")
 print("||5|| =", d.norm(5), " ||200|| =", d.norm(200), " radius =", d.radius)
 
 # %% axioms and bi-invariance
-print("\naxioms:", verify_pseudometric(d))
+print("\naxioms:", verify_pseudometric(z, d.dense_num()))
 
 # %% exact linearity and monotonicity (gamma = 0)
 print("linear:", gamma_linearity(d, 0).holds,

@@ -168,7 +168,7 @@ def cmd_pseudo(args):
     a = kio.load_subset(args.set_a, g)
     t0 = time.time()
     table = pseudometric_from_set(g, a)
-    rep = verify_pseudometric(table)
+    rep = verify_pseudometric(g, table.dense_num())
     gamma = Fraction(0) if args.gamma in (None, "exact") else kio.parse_frac(args.gamma)
     lin = gamma_linearity(table, gamma)
     mono = gamma_monotonicity(table, gamma)

@@ -17,9 +17,6 @@ from .errors import PreconditionError
 from .groups import Arc, Character, GroupModel, Subgroup, quotient
 from .sumset import Subset, bohr_preimage, fast_product_set
 
-_coset_cache: dict = {}
-_quotient_cache: dict = {}
-
 
 def coset_partition(g_model: GroupModel, h: Subgroup, side: str = "left"):
     """Partition of G into cosets aH (left) or Ha (right).
@@ -27,8 +24,8 @@ def coset_partition(g_model: GroupModel, h: Subgroup, side: str = "left"):
     Returns (coset_id array, reps); cosets are numbered by ascending
     smallest representative.
     """
-    key = (id(g_model), h.members, side)
-    hit = _coset_cache.get(key)
+    key = ("cosets", h.members, side)
+    hit = g_model._cache.get(key)
     if hit is not None:
         return hit
     n = g_model.order
@@ -45,17 +42,17 @@ def coset_partition(g_model: GroupModel, h: Subgroup, side: str = "left"):
         cid[coset] = len(reps)
         reps.append(g)
     out = (cid, np.array(reps, dtype=np.int64))
-    _coset_cache[key] = out
+    g_model._cache[key] = out
     return out
 
 
 def quotient_model(g_model: GroupModel, h: Subgroup):
     """Memoized quotient (model, projection) for normal H."""
-    key = (id(g_model), h.members)
-    hit = _quotient_cache.get(key)
+    key = ("quotient", h.members)
+    hit = g_model._cache.get(key)
     if hit is None:
         hit = quotient(g_model, h)
-        _quotient_cache[key] = hit
+        g_model._cache[key] = hit
     return hit
 
 

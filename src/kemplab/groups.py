@@ -30,10 +30,12 @@ class GroupModel:
     Instances are immutable; all operations on them are pure.  The
     ``kind`` is one of ``cyclic``, ``product``, ``table``.  Product
     indices are row-major: (a, b) in G x H sits at ``a * |H| + b``.
+    ``_cache`` memoizes data derived from the model (translate rows,
+    coset partitions, quotients) and is freed with it.
     """
 
     __slots__ = ("kind", "order", "label", "identity", "abelian",
-                 "_n", "_left", "_right", "_table", "_inv", "_shape")
+                 "_n", "_left", "_right", "_table", "_inv", "_shape", "_cache")
 
     def __init__(self, kind, order, label, identity, abelian,
                  n=None, left=None, right=None, table=None, inv=None, shape=None):
@@ -48,6 +50,7 @@ class GroupModel:
         self._table = table    # order x order int array
         self._inv = inv        # inverse lookup
         self._shape = shape    # tuple of cyclic factor orders, or None
+        self._cache = {}
 
     # -- core operations ------------------------------------------------
 

@@ -130,8 +130,7 @@ def almost_hom(d: PseudometricTable, lam, gamma,
         raise PreconditionError("alpha grid", "alpha is not on the weight grid")
     alpha_num = int(alpha_num)
 
-    gens = [g for g in range(g_model.order)
-            if Fraction(int(d.norm_num[g]), d.den) <= lam and g != g_model.identity]
+    gens = [g for g in d.ball_indices(lam).tolist() if g != g_model.identity]
     parent = _bfs_paths(g_model, gens)
     if len(parent) < g_model.order:
         raise PreconditionError("generation",
@@ -228,7 +227,7 @@ def kernel_norm_check(d: PseudometricTable, chi: Character, lam):
     bound = 2 * lam / 3
     for g in chi.kernel_members():
         g = int(g)
-        nrm = Fraction(int(d.norm_num[g]), d.den)
+        nrm = d.norm(g)
         if nrm <= lam and not nrm < bound:
             return False, g
     return True, None
@@ -281,9 +280,7 @@ def _auto_lambda(d: PseudometricTable, g_model: GroupModel) -> Fraction:
     while start < len(candidates) - 1 and candidates[start] < target:
         start += 1
     for lam in candidates[start:]:
-        gens = [g for g in range(g_model.order)
-                if Fraction(int(d.norm_num[g]), d.den) <= lam]
-        reach = _bfs_paths(g_model, gens)
+        reach = _bfs_paths(g_model, d.ball_indices(lam).tolist())
         if len(reach) == g_model.order:
             return lam
     raise StageError("lambda policy", "no ball of any radius generates the group")
@@ -394,6 +391,15 @@ def _denoise(g_model, work, other, d_target, rounds, side,
     return best[2], base_gamma * 2 ** best[1], clean == 0 and dist <= slack
 
 
+def _require_near_target(work: Subset, target: Fraction, side: str):
+    """The denoiser returns its best state even when that state is far
+    from the target measure; the later stages cannot work on such a set."""
+    n = work.parent.order
+    if abs(work.measure() - target) > Fraction(1, n):
+        raise StageError("shrink", f"side {side}: working set of {work.size} cells "
+                                   f"against a target of {target * n}")
+
+
 def inverse_pipeline(g_model: GroupModel, a: Subset, b: Subset, delta,
                      config: Optional[PipelineConfig] = None) -> FitResult:
     """Recover a character and arcs from a nearly minimal pair.
@@ -425,8 +431,10 @@ def inverse_pipeline(g_model: GroupModel, a: Subset, b: Subset, delta,
     if shrunk:
         a3, gamma_abs_a, clean_a = _denoise(g_model, a, b, target,
                                             config.denoise_rounds, "left")
+        _require_near_target(a3, target, "a")
         b3, gamma_abs_b, clean_b = _denoise(g_model, b, a3, target,
                                             config.denoise_rounds, "right")
+        _require_near_target(b3, target, "b")
         diag["shrink"] = {"target": target,
                           "mu_a3": a3.measure(), "mu_b3": b3.measure(),
                           "gamma_abs_bound": max(gamma_abs_a, gamma_abs_b),
@@ -454,8 +462,7 @@ def inverse_pipeline(g_model: GroupModel, a: Subset, b: Subset, delta,
     # stage (iv): loop weight unit
     lam = config.lam if config.lam is not None else _auto_lambda(table, g_model)
     diag["lambda"] = lam
-    ball_size = sum(1 for g in range(n)
-                    if Fraction(int(table.norm_num[g]), table.den) <= lam)
+    ball_size = table.ball_indices(lam).size
     mode = config.alpha_mode
     if mode == "auto":
         mode = "exhaustive" if n * ball_size ** 3 <= 200_000 else "beam"

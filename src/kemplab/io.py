@@ -200,8 +200,11 @@ def write_report(payload: dict, out=None, fmt: str = "json"):
 
 
 def pseudometric_csv(table, path: str):
-    """Dense rational CSV dump: one 'numerator/denominator' pair per cell."""
+    """Dense rational CSV dump: one 'numerator/denominator' pair per cell.
+
+    Rows are built one at a time from the norm vector, so the dump never
+    holds the N x N table."""
     den = table.den
     with open(path, "w") as f:
-        for row in table.num:
-            f.write(",".join(f"{int(v)}/{den}" for v in row) + "\n")
+        for i in range(table.group.order):
+            f.write(",".join(f"{v}/{den}" for v in table.row_num(i).tolist()) + "\n")

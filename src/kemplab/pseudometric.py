@@ -12,6 +12,7 @@ every near-equality of the theory into an exact equality test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -27,41 +28,66 @@ TRIANGLE_EXHAUSTIVE_LIMIT = 256
 
 
 class PseudometricTable:
-    """Symmetric N x N table of exact rationals num[i, j] / den."""
+    """A left-invariant pseudometric stored as its norm vector.
 
-    __slots__ = ("group", "num", "den", "norm_num", "radius_num", "from_norms")
+    Left invariance gives d(g1, g2) = ||g1^-1 g2||, so the integer
+    numerators ``norm_num[g] = ||g|| * den`` over the common denominator
+    ``den`` determine every entry: O(N) memory, entries on demand.  Only
+    ``dense_num`` builds the N x N matrix (for ``verify_pseudometric``
+    and for tests); ``row_num`` gives one row at a time (the CSV dump).
+    """
 
-    def __init__(self, group: GroupModel, num: np.ndarray, den: int,
-                 from_norms: bool = False):
+    __slots__ = ("group", "norm_num", "den", "radius_num")
+
+    def __init__(self, group: GroupModel, norm_num: np.ndarray, den: int):
         self.group = group
-        self.num = num
+        self.norm_num = norm_num
         self.den = den
-        self.norm_num = num[group.identity].copy()
-        self.radius_num = int(num.max()) if num.size else 0
-        self.from_norms = from_norms
+        self.radius_num = int(norm_num.max()) if norm_num.size else 0
 
-    @classmethod
-    def from_norm_vector(cls, group: GroupModel, norm_num: np.ndarray, den: int):
-        """Left-invariant table d(i, j) = ||i^-1 j||, built row by row."""
-        n = group.order
-        idx = group.elements()
-        num = np.empty((n, n), dtype=np.int64)
-        for i in range(n):
-            num[i] = norm_num[group.mul_vec(group.inv(i), idx)]
-        return cls(group, num, den, from_norms=True)
+    @property
+    def num(self) -> np.ndarray:
+        """Read-only alias of ``norm_num``, not an N x N matrix.
+
+        It stays only for ``bench/spans.py``, whose trace mode reports
+        the table's memory as ``num.nbytes``; use ``norm_num``.
+        """
+        return self.norm_num
 
     def d(self, g1: int, g2: int) -> Fraction:
-        return Fraction(int(self.num[g1, g2]), self.den)
+        g = self.group
+        return self.norm(g.mul(g.inv(g1), g2))
 
     def norm(self, g: int) -> Fraction:
-        return Fraction(int(self.norm_num[g]), self.den)
+        return Fraction(self.norm_num.item(g), self.den)
 
     @property
     def radius(self) -> Fraction:
         return Fraction(self.radius_num, self.den)
 
-    def ball_mask_num(self, alpha_num: int) -> np.ndarray:
-        return self.norm_num <= alpha_num
+    def row_num(self, g1: int) -> np.ndarray:
+        """Numerators of d(g1, g) for every g: norm_num[g1^-1 g]."""
+        g = self.group
+        return self.norm_num[g.mul_vec(g.inv(g1), g.elements())]
+
+    def dense_num(self) -> np.ndarray:
+        """The N x N numerator matrix, row by row."""
+        n = self.group.order
+        num = np.empty((n, n), dtype=np.int64)
+        for i in range(n):
+            num[i] = self.row_num(i)
+        return num
+
+    def ball_indices(self, hi, lo=None) -> np.ndarray:
+        """Ascending indices g with lo < ||g|| <= hi (lo = None: no lower end).
+
+        Integer comparisons only: for an integer numerator v,
+        v/den <= p/q iff v*q <= p*den iff v <= floor(p*den/q).
+        """
+        mask = self.norm_num <= math.floor(Fraction(hi) * self.den)
+        if lo is not None:
+            mask &= self.norm_num > math.floor(Fraction(lo) * self.den)
+        return np.flatnonzero(mask)
 
     def __repr__(self):
         return f"PseudometricTable(N={self.group.order}, rho={self.radius})"
@@ -76,7 +102,7 @@ def pseudometric_from_set(g_model: GroupModel, a: Subset,
         raise PreconditionError("side", "only the left-overlap pseudometric is defined")
     prof = overlap_profile(g_model, a, "left")
     norm_num = (a.size - prof.counts).astype(np.int64)
-    return PseudometricTable.from_norm_vector(g_model, norm_num, g_model.order)
+    return PseudometricTable(g_model, norm_num, g_model.order)
 
 
 def ball(d: PseudometricTable, alpha) -> Subset:
@@ -84,15 +110,12 @@ def ball(d: PseudometricTable, alpha) -> Subset:
     alpha = Fraction(alpha)
     if alpha < 0:
         raise PreconditionError("alpha >= 0")
-    hits = np.flatnonzero(
-        d.norm_num * alpha.denominator <= alpha.numerator * d.den)
-    return Subset.from_indices(d.group, hits)
+    return Subset.from_indices(d.group, d.ball_indices(alpha))
 
 
 def kernel_subgroup(d: PseudometricTable) -> Subgroup:
     """{g : ||g||_d = 0}; closure is a theorem, re-verified on wrap."""
-    members = np.flatnonzero(d.norm_num == 0)
-    return subgroup_from_members(d.group, members)
+    return subgroup_from_members(d.group, d.ball_indices(0))
 
 
 @dataclass
@@ -110,17 +133,19 @@ class PseudometricReport:
                 and self.left_invariant_ok and self.right_invariant_ok)
 
 
-def verify_pseudometric(d: PseudometricTable, sample_seed: int = 0,
+def verify_pseudometric(g: GroupModel, num: np.ndarray, sample_seed: int = 0,
                         invariance_samples: int = 64) -> PseudometricReport:
-    """Axioms plus bi-invariance, with a witness on first failure.
+    """Axioms plus bi-invariance of an explicit N x N numerator matrix,
+    with a witness on first failure.
 
-    Triangle inequality: exhaustive N^3 scan up to
-    TRIANGLE_EXHAUSTIVE_LIMIT; above that, the left-invariant pair
-    reduction (exhaustive under invariance) plus sampled raw triples.
+    The checker trusts nothing about how ``num`` was built (pass
+    ``table.dense_num()`` for a table).  Triangle inequality: exhaustive
+    N^3 scan up to TRIANGLE_EXHAUSTIVE_LIMIT; above that, the
+    left-invariant pair reduction on row ``num[identity]`` (exhaustive
+    under invariance) plus sampled raw triples.
     """
-    g = d.group
     n = g.order
-    num = d.num
+    norm_num = num[g.identity]
     witness = None
 
     reflexive_ok = bool(np.all(np.diag(num) == 0))
@@ -144,11 +169,11 @@ def verify_pseudometric(d: PseudometricTable, sample_seed: int = 0,
                     witness = ("triangle", i, j, k)
                 break
     else:
-        sums = d.norm_num[:, None] + d.norm_num[None, :]
+        sums = norm_num[:, None] + norm_num[None, :]
         prod_norm = np.empty((n, n), dtype=np.int64)
         idx = g.elements()
         for u in range(n):
-            prod_norm[u] = d.norm_num[g.mul_vec(u, idx)]
+            prod_norm[u] = norm_num[g.mul_vec(u, idx)]
         if np.any(prod_norm > sums):
             u, v = map(int, np.argwhere(prod_norm > sums)[0])
             triangle_ok = False
@@ -212,49 +237,31 @@ def gamma_linearity(d: PseudometricTable, gamma) -> LinearityReport:
     g = d.group
     n = g.order
     den = d.den
-    worst = Fraction(0)
+    worst_num = 0
     worst_triple = None
     checked = 0
     violations = 0
-    if d.from_norms:
-        norms = d.norm_num
-        idx = g.elements()
-        gn, gd = gamma.numerator, gamma.denominator
-        # exact window test, all integers: (nu+nv)/den < rho/den - gamma
-        window_rhs = d.radius_num * gd - gn * den
-        for u in range(n):
-            pn = norms[g.mul_vec(u, idx)].astype(np.int64)
-            nu = int(norms[u])
-            sums = nu + norms
-            keep = sums * gd < window_rhs
-            if not keep.any():
-                continue
-            dev = np.minimum(np.abs(pn - sums), np.abs(pn - np.abs(nu - norms)))
-            dev = np.where(keep, dev, -1)
-            checked += int(keep.sum())
-            violations += int(np.count_nonzero(dev * gd > gn * den))
-            vmax = int(dev.max())
-            if vmax >= 0 and Fraction(vmax, den) > worst:
-                v = int(dev.argmax())
-                worst = Fraction(vmax, den)
-                worst_triple = (g.identity, u, g.mul(u, int(v)))
-    else:
-        num = d.num
-        for g1 in range(n):
-            for g2 in range(n):
-                base = int(num[g1, g2])
-                for g3 in range(n):
-                    s = base + int(num[g2, g3])
-                    if not Fraction(s, den) < d.radius - gamma:
-                        continue
-                    checked += 1
-                    dev = min(abs(int(num[g1, g3]) - s),
-                              abs(int(num[g1, g3]) - abs(base - int(num[g2, g3]))))
-                    if Fraction(dev, den) > gamma:
-                        violations += 1
-                    if Fraction(dev, den) > worst:
-                        worst = Fraction(dev, den)
-                        worst_triple = (g1, g2, g3)
+    norms = d.norm_num
+    idx = g.elements()
+    gn, gd = gamma.numerator, gamma.denominator
+    # exact window test, all integers: (nu+nv)/den < rho/den - gamma
+    window_rhs = d.radius_num * gd - gn * den
+    for u in range(n):
+        pn = norms[g.mul_vec(u, idx)]
+        nu = int(norms[u])
+        sums = nu + norms
+        keep = sums * gd < window_rhs
+        if not keep.any():
+            continue
+        dev = np.minimum(np.abs(pn - sums), np.abs(pn - np.abs(nu - norms)))
+        dev = np.where(keep, dev, -1)
+        checked += int(keep.sum())
+        violations += int(np.count_nonzero(dev * gd > gn * den))
+        v = int(dev.argmax())
+        if dev[v] > worst_num:
+            worst_num = int(dev[v])
+            worst_triple = (g.identity, u, g.mul(u, v))
+    worst = Fraction(worst_num, den)
     return LinearityReport(worst <= gamma, worst, worst_triple, checked, violations)
 
 
@@ -271,19 +278,13 @@ def gamma_monotonicity(d: PseudometricTable, gamma) -> MonotonicityReport:
     gamma = Fraction(gamma)
     if gamma < 0:
         raise PreconditionError("gamma >= 0")
-    g = d.group
-    bound = Fraction(d.radius_num, 2 * d.den) - 2 * gamma
-    worst = Fraction(0)
-    worst_g = None
-    checked = 0
-    for x in range(g.order):
-        if Fraction(int(d.norm_num[x]), d.den) > bound:
-            continue
-        checked += 1
-        dev = Fraction(abs(int(d.norm_num[g.mul(x, x)]) - 2 * int(d.norm_num[x])), d.den)
-        if dev > worst:
-            worst, worst_g = dev, x
-    return MonotonicityReport(worst <= 4 * gamma, worst, worst_g, checked)
+    xs = d.ball_indices(d.radius / 2 - 2 * gamma)
+    dev = np.abs(d.norm_num[d.group.mul_arr(xs, xs)] - 2 * d.norm_num[xs])
+    worst_num, worst_g = 0, None
+    if xs.size and dev.max() > 0:
+        worst_num, worst_g = int(dev.max()), int(xs[dev.argmax()])
+    worst = Fraction(worst_num, d.den)
+    return MonotonicityReport(worst <= 4 * gamma, worst, worst_g, int(xs.size))
 
 
 @dataclass
@@ -378,14 +379,9 @@ def path_monotone_check(d: PseudometricTable, gamma) -> PathMonotoneReport:
         status[canon] = verdict
         if verdict == "failed" and failed is None:
             failed = canon
-    conclusion = gamma_monotonicity_at(d, 8 * gamma)
+    conclusion = gamma_monotonicity(d, 8 * gamma)
     return PathMonotoneReport(failed is None, failed, status, 8 * gamma,
                               conclusion.holds, conclusion)
-
-
-def gamma_monotonicity_at(d: PseudometricTable, gamma_prime) -> MonotonicityReport:
-    """The gamma-monotone definition instantiated at gamma_prime."""
-    return gamma_monotonicity(d, gamma_prime)
 
 
 # -- signs and weights -------------------------------------------------------
@@ -394,27 +390,20 @@ def gamma_monotonicity_at(d: PseudometricTable, gamma_prime) -> MonotonicityRepo
 class SignContext:
     """Holds the pseudometric, gamma, and the canonical reference g0.
 
-    g0 is the smallest-index element of N(rho/4 - gamma) \\ N(4 gamma);
-    well-definedness of total weights w.r.t. the reference is a theorem
-    that total_weight re-verifies with a second reference.
+    ``references`` holds N(rho/4 - gamma) \\ N(4 gamma) in ascending
+    order and g0 is its first element; well-definedness of total
+    weights w.r.t. the reference is a theorem that total_weight
+    re-verifies with a second reference.
     """
 
     def __init__(self, d: PseudometricTable, gamma):
         self.d = d
         self.gamma = Fraction(gamma)
-        refs = self.reference_candidates()
-        if refs.size == 0:
+        self.references = d.ball_indices(d.radius / 4 - self.gamma, lo=4 * self.gamma)
+        if self.references.size == 0:
             raise MinimumResolution(
                 "N(rho/4 - gamma) \\ N(4 gamma) is empty; no sign reference exists")
-        self.g0 = int(refs[0])
-
-    def reference_candidates(self) -> np.ndarray:
-        d, gamma = self.d, self.gamma
-        hi = Fraction(d.radius_num, 4 * d.den) - gamma
-        lo = 4 * gamma
-        ok = [g for g in range(d.group.order)
-              if lo < Fraction(int(d.norm_num[g]), d.den) <= hi]
-        return np.array(ok, dtype=np.int64)
+        self.g0 = int(self.references[0])
 
     def norm(self, g: int) -> Fraction:
         return self.d.norm(g)
@@ -469,13 +458,13 @@ def total_weight(ctx: SignContext, seq) -> Fraction:
     well-definedness corollary and raises.
     """
     d = ctx.d
-    hi = Fraction(d.radius_num, 4 * d.den) - ctx.gamma
+    hi = d.radius / 4 - ctx.gamma
     for g in seq:
-        if not Fraction(int(d.norm_num[int(g)]), d.den) <= hi:
+        if not d.norm(int(g)) <= hi:
             raise PreconditionError("weight range",
                                     f"entry {g} outside N(rho/4 - gamma)")
     t = abs(signed_weight(ctx, seq))
-    refs = ctx.reference_candidates()
+    refs = ctx.references
     if refs.size > 1:
         other = int(refs[1]) if int(refs[0]) == ctx.g0 else int(refs[0])
         t2 = abs(signed_weight(ctx, seq, reference=other))
@@ -627,16 +616,10 @@ class AlphaResult:
     n_max: int
 
 
-def _ball_indices(d: PseudometricTable, lam: Fraction) -> np.ndarray:
-    hits = [g for g in range(d.group.order)
-            if Fraction(int(d.norm_num[g]), d.den) <= lam]
-    return np.array(hits, dtype=np.int64)
-
-
 def _loop_bounds(d: PseudometricTable, lam: Fraction):
     n = d.group.order
-    small = len(_ball_indices(d, lam))
-    big = len(_ball_indices(d, 4 * lam))
+    small = d.ball_indices(lam).size
+    big = d.ball_indices(4 * lam).size
     lower = lam / (4 * Fraction(big, n))
     upper = 4 * lam / Fraction(small, n)
     n_max = (4 * n) // small
@@ -653,7 +636,7 @@ def _power_loop_candidates(ctx: SignContext, lam: Fraction, n_max: int):
     d = ctx.d
     g_model = d.group
     out = []
-    for g in _ball_indices(d, lam):
+    for g in d.ball_indices(lam):
         g = int(g)
         if g == g_model.identity:
             continue
@@ -677,8 +660,7 @@ def _alpha_exhaustive(ctx: SignContext, lam: Fraction, n_max: int,
     """
     d = ctx.d
     g = d.group
-    alphabet = [int(x) for x in _ball_indices(d, lam)
-                if int(x) != g.identity]
+    alphabet = [x for x in d.ball_indices(lam).tolist() if x != g.identity]
     signs = {a: relative_sign(ctx, ctx.g0, a) for a in alphabet}
     lam_num, lam_den = lam.numerator, lam.denominator
 
@@ -759,8 +741,7 @@ def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int,
     d = ctx.d
     g = d.group
     rng_master = np.random.default_rng(seed)
-    alphabet = sorted((int(x) for x in _ball_indices(d, lam)
-                       if int(x) != g.identity),
+    alphabet = sorted((x for x in d.ball_indices(lam).tolist() if x != g.identity),
                       key=lambda a: (-int(d.norm_num[a]), a))
     signs = {a: relative_sign(ctx, ctx.g0, a) for a in alphabet}
     lam_num, lam_den = lam.numerator, lam.denominator
@@ -823,7 +804,7 @@ def alpha_lambda(d: PseudometricTable, lam, gamma, mode: str = "exhaustive",
     range_notice = _check_lambda_range(d, lam, gamma, 44)
     ctx = SignContext(d, gamma)
     lower, upper, n_max = _loop_bounds(d, lam)
-    if len(_ball_indices(d, lam)) <= kernel_size(d):
+    if d.ball_indices(lam).size <= kernel_size(d):
         raise MinimumResolution("N(lambda) carries no positive-norm element")
 
     candidates = _power_loop_candidates(ctx, lam, n_max)
@@ -849,7 +830,7 @@ def alpha_lambda(d: PseudometricTable, lam, gamma, mode: str = "exhaustive",
 
 
 def kernel_size(d: PseudometricTable) -> int:
-    return int(np.count_nonzero(d.norm_num == 0))
+    return d.ball_indices(0).size
 
 
 @dataclass
@@ -873,7 +854,7 @@ def loop_quantization_check(ctx: SignContext, lam, alpha, trials: int,
     if ctx.gamma > 0 and not lam > 10**5 * ctx.gamma:
         raise PreconditionError("lambda range", "need lambda > 1e5 gamma")
     g = d.group
-    gens = [int(x) for x in _ball_indices(d, lam) if int(x) != g.identity]
+    gens = [x for x in d.ball_indices(lam).tolist() if x != g.identity]
     if not gens:
         raise MinimumResolution("N(lambda) has no usable generator")
     _, _, n_max = _loop_bounds(d, lam)

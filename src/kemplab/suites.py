@@ -269,8 +269,7 @@ def sign_algebra_suite() -> SuiteResult:
     z = make_cyclic(360)
     d = pseudometric_from_set(z, Subset.from_indices(z, range(160)))
     ctx = SignContext(d, 0)
-    refs = ctx.reference_candidates()
-    valid = [int(g) for g in refs]      # N(rho/4) \ N(0)
+    valid = ctx.references.tolist()     # N(rho/4) \ N(0)
     failures = 0
     total = 0
     sgn = {}

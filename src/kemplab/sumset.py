@@ -21,7 +21,6 @@ from .groups import Arc, Character, GroupModel
 
 # Row-OR translate rows are cached only for groups up to this order.
 ROW_CACHE_LIMIT = 4096
-_row_cache: dict = {}
 
 # FFT bins farther than this from an integer trigger exact re-verification.
 FFT_GUARD = 0.25
@@ -170,12 +169,12 @@ def product_set(g_model: GroupModel, a: Subset, b: Subset) -> Subset:
 
 def _mul_table_row(g_model: GroupModel, a: int) -> np.ndarray:
     """Cached left-translation row a * (0..N-1)."""
-    key = (id(g_model), a)
-    row = _row_cache.get(key)
+    key = ("row", a)
+    row = g_model._cache.get(key)
     if row is None:
         row = g_model.mul_vec(a, g_model.elements())
         if g_model.order <= ROW_CACHE_LIMIT:
-            _row_cache[key] = row
+            g_model._cache[key] = row
     return row
 
 

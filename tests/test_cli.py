@@ -142,3 +142,27 @@ def test_reports_echo_thread_env(planted_files, capsys, monkeypatch):
           "--set-a", str(prefix) + ".a", "--set-b", str(prefix) + ".b"])
     out = json.loads(capsys.readouterr().out)
     assert out["kemplab_threads"] == "4"
+
+
+# the S3 table of symmetric_group_table(3) and A = {0, 1, 2}; the rows are
+# d(i, j) = ||i^-1 j||, frozen before the norm-vector storage
+S3_PSEUDO_CSV = ("0/6,1/6,1/6,2/6,2/6,3/6\n1/6,0/6,2/6,3/6,1/6,2/6\n"
+                 "1/6,2/6,0/6,1/6,3/6,2/6\n2/6,3/6,1/6,0/6,2/6,1/6\n"
+                 "2/6,1/6,3/6,2/6,0/6,1/6\n3/6,2/6,2/6,1/6,1/6,0/6\n")
+
+
+def test_cmd_pseudo_csv_and_report(tmp_path):
+    s3 = make_from_table(symmetric_group_table(3)[0], "S3")
+    save_group(str(tmp_path / "s3.group"), s3)
+    save_subset(str(tmp_path / "a.set"), Subset.from_indices(s3, [0, 1, 2]),
+                style="indices")
+    code = main(["pseudo", "--group", str(tmp_path / "s3.group"),
+                 "--set-a", str(tmp_path / "a.set"),
+                 "--csv", str(tmp_path / "t.csv"), "--out", str(tmp_path / "r.json")])
+    assert code == 1                    # A is not conjugation closed
+    assert (tmp_path / "t.csv").read_bytes() == S3_PSEUDO_CSV.encode()
+    rep = json.loads((tmp_path / "r.json").read_text())
+    assert rep["radius"] == "1/2" and rep["axioms_ok"] is False
+    assert rep["witness"] == ["right invariance", 1]
+    assert (rep["linear"], rep["worst_linearity"]) == (True, "0/1")
+    assert (rep["monotone"], rep["worst_monotonicity"]) == (False, "1/3")

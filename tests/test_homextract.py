@@ -203,3 +203,24 @@ def test_fiberwise_rigidity_perturbed_margins():
                                     c=Fraction(1, 2))
     assert rep.concentration_a > 0             # margins scale with the noise
     assert rep.fiber_fit_max_gap <= Fraction(2, 48)  # one hole per removed cell
+
+
+def test_pipeline_denoise_fault_names_shrink_stage():
+    # criterion 7's perturbation drawn from default_rng(113): the denoiser
+    # ends on 4 cells of A against a target of 20
+    g, chi, a, b = planted()
+    rng = np.random.default_rng(113)
+
+    def perturb(s, k, cols):
+        drop = rng.choice(s.indices(), size=k, replace=False)
+        avail = [x for x in range(240) if not s.contains(x) and (x // 5) in cols]
+        add = rng.choice(avail, size=k, replace=False)
+        return s.difference(Subset.from_indices(g, drop)).union(
+            Subset.from_indices(g, add))
+
+    a1 = perturb(a, 2, [10, 11])
+    b1 = perturb(b, 2, [12, 13])
+    with pytest.raises(StageError) as exc:
+        inverse_pipeline(g, a1, b1, Fraction(1, 2), PipelineConfig(target_modulus=48))
+    assert exc.value.stage == "shrink"
+    assert "side a" in str(exc.value) and "4 cells against a target of 20" in str(exc.value)

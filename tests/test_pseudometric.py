@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kemplab import (PseudometricTable, SignContext, Subset, alpha_lambda,
+from kemplab import (SignContext, Subset, alpha_lambda,
                      ball, ball_growth_check, gamma_linearity,
                      gamma_monotonicity, irreducible_concatenation,
                      is_irreducible, kernel_subgroup, loop_quantization_check,
@@ -26,7 +28,7 @@ def test_norm_formula_and_radius():
     for g in (0, 1, 5, 100, 160, 180, 359):
         assert d.norm(g) == Fraction(min(min(g, 360 - g), 160), 360)
     assert d.radius == Fraction(160, 360)
-    assert all(int(v) == 0 for v in np.diag(d.num))
+    assert all(int(v) == 0 for v in np.diag(d.dense_num()))
 
 
 def test_full_set_gives_zero_pseudometric():
@@ -43,7 +45,7 @@ def test_empty_set_rejected():
 
 def test_verify_passes_for_set_tables():
     z, d = arc_table(60, 25)
-    rep = verify_pseudometric(d)
+    rep = verify_pseudometric(z, d.dense_num())
     assert rep.all_ok
 
 
@@ -52,16 +54,15 @@ def test_verify_right_invariance_s3_conjugation_closed():
     s3 = make_from_table(symmetric_group_table(3)[0])
     a3_members = [x for x in range(6) if s3.element_order(x) in (1, 3)]
     d = pseudometric_from_set(s3, Subset.from_indices(s3, a3_members))
-    rep = verify_pseudometric(d)
+    rep = verify_pseudometric(s3, d.dense_num())
     assert rep.all_ok
 
 
 def test_verify_catches_corruption():
     z, d = arc_table(40, 16)
-    num = d.num.copy()
+    num = d.dense_num()
     num[3, 17] += 5   # break symmetry and the triangle inequality
-    bad = PseudometricTable(z, num, d.den)
-    rep = verify_pseudometric(bad)
+    rep = verify_pseudometric(z, num)
     assert not rep.all_ok and rep.witness is not None
 
 
@@ -296,3 +297,83 @@ def test_ambiguous_sign_on_nonlinear_table():
         if hit:
             break
     assert hit
+
+
+# -- golden outputs, frozen before the norm-vector storage --------------------
+
+ARC160_STATUS = {1: "window", 2: "window", 3: "window", 4: "window", 5: "window",
+                 6: "window", 8: "window", 9: "window", 10: "window", 12: "window",
+                 15: "window", 18: "window", 20: "window", 24: "window",
+                 30: "window", 36: "window", 40: "window", 45: "window",
+                 60: "window", 72: "window", 90: "vacuous", 120: "vacuous",
+                 180: "vacuous"}
+
+ARC160_BEAM_WITNESS = (
+    1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 3, 3,
+    3, 3, 3, 3, 3, 4, 2, 5, 2, 4, 2, 4, 2, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3,
+    3, 4, 2, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 5, 5, 5, 5, 5, 5, 5, 5, 4, 5, 5, 5, 5,
+    4, 5, 5, 5, 5, 5, 5, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 4, 5, 5, 1)
+
+
+def _linearity_fields(rep):
+    return (rep.holds, rep.worst_violation, rep.worst_triple, rep.checked,
+            rep.violations)
+
+
+def test_golden_linearity_two_arc():
+    z = make_cyclic(360)
+    two = Subset.from_indices(z, list(range(40)) + list(range(170, 190)))
+    rep = gamma_linearity(pseudometric_from_set(z, two), 0)
+    assert _linearity_fields(rep) == (False, Fraction(1, 20), (0, 9, 159), 5183, 3780)
+
+
+def test_golden_linearity_noisy_box_z60_squared():
+    g = make_product(make_cyclic(60), make_cyclic(60))
+    rng = np.random.default_rng(2024)
+    inside = np.zeros(3600, dtype=bool)
+    inside[[i * 60 + j for i in range(30) for j in range(30)]] = True
+    drop = rng.choice(np.flatnonzero(inside), 12, replace=False)
+    add = rng.choice(np.flatnonzero(~inside), 12, replace=False)
+    inside[drop] = False
+    inside[add] = True
+    d = pseudometric_from_set(g, Subset.from_indices(g, np.flatnonzero(inside)))
+    rep = gamma_linearity(d, 0)
+    assert _linearity_fields(rep) == (False, Fraction(73, 600), (0, 489, 3312),
+                                      842961, 835250)
+
+
+def test_golden_path_monotone_status_arc():
+    z, d = arc_table()
+    assert path_monotone_check(d, 0).generator_status == ARC160_STATUS
+
+
+def test_golden_alpha_beam_witness_arc():
+    z, d = arc_table()
+    res = alpha_lambda(d, Fraction(5, 360), 0, mode="beam", seed=1)
+    assert res.alpha == 1
+    assert res.witness.entries == ARC160_BEAM_WITNESS
+
+
+PROPERTY_MODELS = {
+    "cyclic": make_cyclic(12),
+    "product": make_product(make_cyclic(3), make_cyclic(4)),
+    "table": make_from_table(symmetric_group_table(3)[0], "S3"),
+    "table x cyclic": make_product(make_from_table(symmetric_group_table(3)[0], "S3"),
+                                   make_cyclic(2)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PROPERTY_MODELS)), st.data())
+def test_entries_dense_and_scalar_norm_agree(kind, data):
+    # d(g1, g2) = ||g1^-1 g2|| three ways: the entry accessor, the dense
+    # matrix, and the norm of the scalar product
+    g = PROPERTY_MODELS[kind]
+    members = data.draw(st.sets(st.integers(0, g.order - 1), min_size=1))
+    d = pseudometric_from_set(g, Subset.from_indices(g, sorted(members)))
+    dense = d.dense_num()
+    assert dense.shape == (g.order, g.order)
+    for g1 in range(g.order):
+        for g2 in range(g.order):
+            scalar = d.norm(g.mul(g.inv(g1), g2))
+            assert d.d(g1, g2) == Fraction(int(dense[g1, g2]), d.den) == scalar

@@ -174,3 +174,17 @@ def test_convolution_absorption_identity():
         a = Subset.from_indices(z, rng.choice(60, int(rng.integers(1, 40)), replace=False))
         total = sum((x.mask & a.translate(g).mask).bit_count() for g in range(60))
         assert total == x.size * a.size
+
+
+def test_row_cache_not_stale_after_model_id_reuse():
+    # a model built right after another is freed often gets its id; a
+    # cache keyed by id(model) then serves the freed model's rows
+    a_idx, b_idx = [1, 2], [3, 4]
+    z6_table = np.add.outer(np.arange(6), np.arange(6)) % 6
+    for _ in range(50):
+        s3 = make_from_table(symmetric_group_table(3)[0], "S3")
+        fast_product_set(s3, Subset.from_indices(s3, a_idx), Subset.from_indices(s3, b_idx))
+        del s3
+        z6 = make_from_table(z6_table, "Z6")
+        a, b = Subset.from_indices(z6, a_idx), Subset.from_indices(z6, b_idx)
+        assert fast_product_set(z6, a, b).mask == product_set(z6, a, b).mask
