@@ -12,7 +12,8 @@ from .errors import (AmbiguousSign, AxiomViolation, EmptyInput, GroupMismatch,
                      NoStructureFound, NotNormal, ParseError,
                      PreconditionError, StageError)
 from .groups import (Arc, Character, GroupModel, Subgroup, abelianization,
-                     cyclic_subgroup, default_character_modulus,
+                     coset_partition, cyclic_subgroup,
+                     default_character_modulus, distinct_cyclic_subgroups,
                      enumerate_characters, generated_subgroup, is_normal,
                      make_cyclic, make_from_table, make_product, quotient,
                      subgroup_from_members, symmetric_group_table)
@@ -21,14 +22,13 @@ from .sumset import (OverlapProfile, Subset, bohr_preimage, fast_product_set,
 from .expansion import (DeficitReport, DirectionCover, ProbeReport,
                         ShrinkResult, SubmodularReport, ToricReport,
                         covering_tori, deficit, direction_cover,
-                        distinct_cyclic_subgroups, find_translate_overlap,
-                        is_nearly_minimal, kneser_witness, nonexpander_probe,
-                        period_stabilizer, shrink_to_size, submodular_check,
+                        find_translate_overlap, is_nearly_minimal,
+                        kneser_witness, nonexpander_probe, period_stabilizer,
+                        shrink_to_size, submodular_check,
                         toric_expansion_ratios)
 from .fibers import (FiberProfile, SpilloverResult, TransferResult,
-                     best_arc_fit, bohr_stability, coset_partition,
-                     fiber_profile, level_set, projection_subset,
-                     quotient_model, spillover_bound, structural_control,
+                     best_arc_fit, bohr_stability, fiber_profile, level_set,
+                     projection_subset, spillover_bound, structural_control,
                      transfer)
 from .pseudometric import (AlphaResult, BallGrowthResult, LambdaSequence,
                            LinearityReport, MonotonicityReport,

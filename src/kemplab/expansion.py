@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyInput, PreconditionError
-from .groups import GroupModel, Subgroup, cyclic_subgroup
+from .groups import (GroupModel, Subgroup, coset_partition,
+                     distinct_cyclic_subgroups, generated_subgroup)
 from .sumset import Subset, fast_product_set, overlap_profile
 
 
@@ -207,18 +208,6 @@ def shrink_to_size(g_model: GroupModel, a: Subset, b: Subset, d, delta) -> Shrin
 # -- toric expansion --------------------------------------------------------
 
 
-def distinct_cyclic_subgroups(g_model: GroupModel, nontrivial: bool = True):
-    """All distinct cyclic subgroups, keyed by smallest generator."""
-    seen = {}
-    for g in range(g_model.order):
-        if nontrivial and g == g_model.identity:
-            continue
-        h = cyclic_subgroup(g_model, g)
-        if h.members not in seen:
-            seen[h.members] = h
-    return list(seen.values())
-
-
 @dataclass(frozen=True)
 class ToricReport:
     """Expansion ratios mu(AH)/mu(A) over every cyclic direction."""
@@ -300,7 +289,6 @@ def direction_cover(g_model: GroupModel, a: Subset, h: Subgroup, eps) -> Directi
     greedily by fresh coverage, smallest member first on ties.  This is
     the single-direction covering step the nonexpander probe leans on.
     """
-    from .fibers import coset_partition
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise PreconditionError("0 < eps < 1", f"got {eps}")
@@ -350,15 +338,11 @@ def _random_union_of_cosets(g_model, rng, subgroups):
     n_cosets = g_model.order // h.order
     j = int(rng.integers(1, max(2, n_cosets // 2 + 1)))
     reps = rng.choice(g_model.order, size=j, replace=False)
-    members = np.array(h.members, dtype=np.int64)
-    idx = set()
-    for r in reps:
-        idx.update(int(g_model.mul(int(r), int(x))) for x in members)
-    return Subset.from_indices(g_model, sorted(idx))
+    cid, _ = coset_partition(g_model, h, "left")
+    return Subset.from_indices(g_model, np.flatnonzero(np.isin(cid, cid[reps])))
 
 
 def _random_generated_subgroup(g_model, rng):
-    from .groups import generated_subgroup
     k = int(rng.integers(1, 3))
     gens = rng.integers(0, g_model.order, size=k)
     sub = generated_subgroup(g_model, gens)

@@ -14,46 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .groups import Arc, Character, GroupModel, Subgroup, quotient
+from .groups import (Arc, Character, GroupModel, Subgroup, coset_partition,
+                     quotient)
 from .sumset import Subset, bohr_preimage, fast_product_set
-
-
-def coset_partition(g_model: GroupModel, h: Subgroup, side: str = "left"):
-    """Partition of G into cosets aH (left) or Ha (right).
-
-    Returns (coset_id array, reps); cosets are numbered by ascending
-    smallest representative.
-    """
-    key = ("cosets", h.members, side)
-    hit = g_model._cache.get(key)
-    if hit is not None:
-        return hit
-    n = g_model.order
-    cid = np.full(n, -1, dtype=np.int64)
-    reps = []
-    members = np.array(h.members, dtype=np.int64)
-    for g in range(n):
-        if cid[g] >= 0:
-            continue
-        if side == "left":
-            coset = np.array([g_model.mul(g, int(x)) for x in members])
-        else:
-            coset = np.array([g_model.mul(int(x), g) for x in members])
-        cid[coset] = len(reps)
-        reps.append(g)
-    out = (cid, np.array(reps, dtype=np.int64))
-    g_model._cache[key] = out
-    return out
-
-
-def quotient_model(g_model: GroupModel, h: Subgroup):
-    """Memoized quotient (model, projection) for normal H."""
-    key = ("quotient", h.members)
-    hit = g_model._cache.get(key)
-    if hit is None:
-        hit = quotient(g_model, h)
-        g_model._cache[key] = hit
-    return hit
 
 
 @dataclass(frozen=True)
@@ -91,12 +54,12 @@ def level_set(g_model: GroupModel, h: Subgroup, a: Subset, r, s,
 
     A_{(r,s]} collects the elements of A whose coset fiber length lies
     in (r, s]; the projection is returned as a subset of the quotient
-    model.  Returns (a_level, proj_level, quotient_model, proj_map).
+    model.  Returns (a_level, proj_level, qmodel, proj_map).
     """
     r, s = Fraction(r), Fraction(s)
     if not (0 <= r < s <= 1):
         raise PreconditionError("0 <= r < s <= 1", f"got ({r}, {s}]")
-    qmodel, proj = quotient_model(g_model, h)
+    qmodel, proj = quotient(g_model, h)
     counts = np.bincount(proj[a.indices()], minlength=qmodel.order).astype(np.int64)
     hsize = h.order
     # (r, s] in counts: r*|H| < count <= s*|H|
@@ -113,7 +76,7 @@ def level_set(g_model: GroupModel, h: Subgroup, a: Subset, r, s,
 
 def projection_subset(g_model: GroupModel, h: Subgroup, a: Subset):
     """pi(A) in the quotient model (all cosets meeting A)."""
-    qmodel, proj = quotient_model(g_model, h)
+    qmodel, proj = quotient(g_model, h)
     return Subset.from_indices(qmodel, np.unique(proj[a.indices()])), qmodel, proj
 
 

@@ -109,11 +109,7 @@ class GroupModel:
         return np.arange(self.order, dtype=np.int64)
 
     def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != self.identity:
-            x = self.mul(x, g)
-            k += 1
-        return k
+        return len(powers(self, g))
 
     @property
     def cyclic_shape(self) -> Optional[tuple]:
@@ -279,12 +275,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def member_mask(self) -> int:
-        m = 0
-        for g in self.members:
-            m |= 1 << g
-        return m
-
     def measure(self) -> Fraction:
         return Fraction(self.order, self.parent.order)
 
@@ -293,14 +283,39 @@ class Subgroup:
         return f"Subgroup(order={self.order}{gen})"
 
 
+def powers(g_model: GroupModel, x: int) -> np.ndarray:
+    """The int64 array [e, x, x^2, ..., x^(k-1)], k the order of x."""
+    out = [g_model.identity]
+    p = x
+    while p != g_model.identity:
+        out.append(p)
+        p = g_model.mul(p, x)
+    return np.array(out, dtype=np.int64)
+
+
 def cyclic_subgroup(g_model: GroupModel, g: int) -> Subgroup:
     """The cyclic subgroup <g> = {g^k}, the finite stand-in for a torus."""
-    seen = [g_model.identity]
-    x = g
-    while x != g_model.identity:
-        seen.append(x)
-        x = g_model.mul(x, g)
-    return Subgroup(g_model, tuple(sorted(seen)), generator=g)
+    return Subgroup(g_model, tuple(sorted(powers(g_model, g).tolist())), generator=g)
+
+
+def distinct_cyclic_subgroups(g_model: GroupModel):
+    """All distinct nontrivial cyclic subgroups, each keyed by its
+    smallest generator, in ascending order of that generator.
+
+    One ascending scan: <x> is walked once, at its smallest generator x,
+    and its other generators x^j (gcd(j, k) = 1) are then skipped.
+    """
+    seen = np.zeros(g_model.order, dtype=bool)
+    seen[g_model.identity] = True
+    out = []
+    for x in range(g_model.order):
+        if seen[x]:
+            continue
+        p = powers(g_model, x)
+        k = len(p)
+        seen[p[[j for j in range(1, k) if math.gcd(j, k) == 1]]] = True
+        out.append(Subgroup(g_model, tuple(sorted(p.tolist())), generator=x))
+    return out
 
 
 def subgroup_from_members(g_model: GroupModel, members) -> Subgroup:
@@ -321,20 +336,43 @@ def subgroup_from_members(g_model: GroupModel, members) -> Subgroup:
 
 
 def generated_subgroup(g_model: GroupModel, gens) -> Subgroup:
-    """Closure of a generating set (breadth-first products)."""
-    members = {g_model.identity}
-    frontier = [g_model.identity]
-    gens = [int(g) for g in gens]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                for y in (g_model.mul(x, g), g_model.mul(g, x)):
-                    if y not in members:
-                        members.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return Subgroup(g_model, tuple(sorted(members)))
+    """Closure of a generating set: everything the Cayley BFS reaches
+    (in a finite group, products of generators already give inverses)."""
+    return Subgroup(g_model, tuple(sorted(cayley_bfs(g_model, [int(g) for g in gens]))))
+
+
+def cayley_bfs(g_model: GroupModel, generators) -> dict:
+    """Breadth-first search of the right Cayley graph from the identity.
+
+    The queue is FIFO and the generators are tried in the order given,
+    so with ascending generators every element's recorded word is the
+    lexicographically least among its shortest decompositions.  Returns
+    the parent dict g -> (previous, generator), None at the identity,
+    in visiting order; ``cayley_word`` reads a word back from it.
+    """
+    parent = {g_model.identity: None}
+    order = [g_model.identity]
+    qi = 0
+    while qi < len(order):
+        x = order[qi]
+        qi += 1
+        for a in generators:
+            y = g_model.mul(x, a)
+            if y not in parent:
+                parent[y] = (x, a)
+                order.append(y)
+    return parent
+
+
+def cayley_word(parent: dict, g: int) -> list:
+    """The generator word [a1, ..., ak] with g = a1 ... ak that
+    ``cayley_bfs`` recorded for g (empty at the identity)."""
+    word = []
+    while parent[g] is not None:
+        g, a = parent[g]
+        word.append(a)
+    word.reverse()
+    return word
 
 
 def is_normal(g_model: GroupModel, h: Subgroup) -> Optional[int]:
@@ -350,37 +388,55 @@ def is_normal(g_model: GroupModel, h: Subgroup) -> Optional[int]:
     return None
 
 
+def coset_partition(g_model: GroupModel, h: Subgroup, side: str = "left"):
+    """Partition of G into cosets aH (left) or Ha (right).
+
+    Returns (coset_id array, reps); cosets are numbered by ascending
+    smallest representative.  Memoized on the model.
+    """
+    key = ("cosets", h.members, side)
+    hit = g_model._cache.get(key)
+    if hit is not None:
+        return hit
+    cid = np.full(g_model.order, -1, dtype=np.int64)
+    reps = []
+    members = np.array(h.members, dtype=np.int64)
+    for g in range(g_model.order):
+        if cid[g] >= 0:
+            continue
+        if side == "left":
+            cid[g_model.mul_vec(g, members)] = len(reps)
+        else:
+            cid[g_model.rmul_vec(members, g)] = len(reps)
+        reps.append(g)
+    out = (cid, np.array(reps, dtype=np.int64))
+    g_model._cache[key] = out
+    return out
+
+
 def quotient(g_model: GroupModel, h: Subgroup):
     """Quotient model G/H for normal H, with the projection index map.
 
     Cosets are indexed by ascending smallest representative, so for a
     fibered product G = Q x H' with H = {0} x H' the projection is the
-    first coordinate.  Returns ``(quotient_model, projection_array)``.
+    first coordinate.  Returns ``(qmodel, projection_array)``,
+    memoized on the model.
     """
+    key = ("quotient", h.members)
+    hit = g_model._cache.get(key)
+    if hit is not None:
+        return hit
     witness = is_normal(g_model, h)
     if witness is not None:
         raise NotNormal(witness)
-    n = g_model.order
-    proj = np.full(n, -1, dtype=np.int64)
-    reps = []
-    members = np.array(h.members, dtype=np.int64)
-    for g in range(n):
-        if proj[g] >= 0:
-            continue
-        coset = np.array([g_model.mul(g, int(x)) for x in members])
-        proj[coset] = len(reps)
-        reps.append(g)
+    proj, reps = coset_partition(g_model, h, "left")
     q = len(reps)
-    table = np.zeros((q, q), dtype=np.int64)
-    for i in range(q):
-        prods = np.array([g_model.mul(reps[i], reps[j]) for j in range(q)])
-        table[i] = proj[prods]
+    table = proj[g_model.mul_arr(np.repeat(reps, q), np.tile(reps, q))].reshape(q, q)
     e = int(proj[g_model.identity])
-    inv = np.zeros(q, dtype=np.int64)
-    for a in range(q):
-        inv[a] = int(np.flatnonzero(table[a] == e)[0])
+    inv = np.argmax(table == e, axis=1)
     qmodel = GroupModel("table", q, f"{g_model.label}/H{h.order}", e,
                         _scan_abelian(table), table=table, inv=inv)
+    g_model._cache[key] = (qmodel, proj)
     return qmodel, proj
 
 
@@ -524,9 +580,7 @@ def enumerate_characters(g_model: GroupModel, m: Optional[int] = None):
     """
     q, proj = abelianization(g_model)
     if m is None:
-        m = 1
-        for x in range(q.order):
-            m = math.lcm(m, q.element_order(x))
+        m = _exponent(q)
     if m < 1:
         raise PreconditionError("m >= 1", f"got {m}")
 
@@ -567,10 +621,11 @@ def _chi_value(q, decomp, assign, e, m):
         e = base
 
 
+def _exponent(g_model: GroupModel) -> int:
+    """lcm of the element orders."""
+    return math.lcm(*(g_model.element_order(x) for x in range(g_model.order)))
+
+
 def default_character_modulus(g_model: GroupModel) -> int:
     """Exponent of the abelianization (see enumerate_characters)."""
-    q, _ = abelianization(g_model)
-    m = 1
-    for x in range(q.order):
-        m = math.lcm(m, q.element_order(x))
-    return m
+    return _exponent(abelianization(g_model)[0])

@@ -20,8 +20,9 @@ from .errors import NoCharacterWithinBound, PreconditionError, StageError
 from .expansion import deficit
 from .fibers import (best_arc_fit, bohr_stability, round_half_up,
                      structural_control)
-from .groups import (Arc, Character, GroupModel, Subgroup,
-                     default_character_modulus, enumerate_characters)
+from .groups import (Arc, Character, GroupModel, Subgroup, cayley_bfs,
+                     cayley_word, coset_partition, default_character_modulus,
+                     enumerate_characters, powers)
 from .pseudometric import (AlphaResult, PseudometricTable, SignContext,
                            alpha_lambda, gamma_linearity,
                            irreducible_concatenation, path_monotone_check,
@@ -89,27 +90,6 @@ class AlmostHom:
         return None
 
 
-def _bfs_paths(g_model: GroupModel, generators):
-    """Shortest product decompositions over the generator set.
-
-    BFS by length with generators scanned in ascending index order, so
-    the recorded path is the lexicographically least among shortest.
-    Returns parent dict: g -> (previous, generator).
-    """
-    parent = {g_model.identity: None}
-    order = [g_model.identity]
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        for a in generators:
-            y = g_model.mul(x, a)
-            if y not in parent:
-                parent[y] = (x, a)
-                order.append(y)
-    return parent
-
-
 def almost_hom(d: PseudometricTable, lam, gamma,
                alpha_result: Optional[AlphaResult] = None,
                alpha_mode: str = "beam", seed: int = 0) -> AlmostHom:
@@ -131,7 +111,7 @@ def almost_hom(d: PseudometricTable, lam, gamma,
     alpha_num = int(alpha_num)
 
     gens = [g for g in d.ball_indices(lam).tolist() if g != g_model.identity]
-    parent = _bfs_paths(g_model, gens)
+    parent = cayley_bfs(g_model, gens)
     if len(parent) < g_model.order:
         raise PreconditionError("generation",
                                 "N(lambda) does not generate the group")
@@ -139,12 +119,7 @@ def almost_hom(d: PseudometricTable, lam, gamma,
     values = np.zeros(g_model.order, dtype=np.int64)
     max_len = 0
     for g in range(g_model.order):
-        path = []
-        x = g
-        while parent[x] is not None:
-            x, a = parent[x]
-            path.append(a)
-        path.reverse()
+        path = cayley_word(parent, g)
         max_len = max(max_len, len(path))
         if not path:
             values[g] = 0
@@ -280,7 +255,7 @@ def _auto_lambda(d: PseudometricTable, g_model: GroupModel) -> Fraction:
     while start < len(candidates) - 1 and candidates[start] < target:
         start += 1
     for lam in candidates[start:]:
-        reach = _bfs_paths(g_model, d.ball_indices(lam).tolist())
+        reach = cayley_bfs(g_model, d.ball_indices(lam).tolist())
         if len(reach) == g_model.order:
             return lam
     raise StageError("lambda policy", "no ball of any radius generates the group")
@@ -561,12 +536,7 @@ class FiberRigidityReport:
 def _fiber_coords(g_model: GroupModel, h: Subgroup):
     if h.generator is None:
         raise PreconditionError("cyclic subgroup", "fiber fits need a generator")
-    coord = {}
-    x = g_model.identity
-    for k in range(h.order):
-        coord[x] = k
-        x = g_model.mul(x, h.generator)
-    return coord
+    return {x: k for k, x in enumerate(powers(g_model, h.generator).tolist())}
 
 
 def _concentration(counts: np.ndarray, hsize: int, keep_mass: Fraction):
@@ -617,7 +587,7 @@ def fiberwise_rigidity_report(g_model: GroupModel, h: Subgroup, a: Subset,
     coord = _fiber_coords(g_model, h)
 
     def fiber_coords_by_coset(s: Subset, side: str):
-        cid, reps = _coset_data(g_model, h, side)
+        cid, reps = coset_partition(g_model, h, side)
         out = {}
         for x in s.indices():
             x = int(x)
@@ -697,8 +667,3 @@ def fiberwise_rigidity_report(g_model: GroupModel, h: Subgroup, a: Subset,
 
     return FiberRigidityReport(ratio, ratio_ok, conc_a, conc_b, worst_gap,
                                defect, sampled, structured, escaped)
-
-
-def _coset_data(g_model: GroupModel, h: Subgroup, side: str = "left"):
-    from .fibers import coset_partition
-    return coset_partition(g_model, h, side)

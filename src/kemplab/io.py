@@ -86,12 +86,9 @@ def load_group(path: str) -> GroupModel:
         if len(factors) < 2:
             raise ParseError(fln, "need at least two factors")
         g = make_cyclic(factors[0])
-        for f in factors[1:]:
+        for f in factors[1:-1]:
             g = make_product(g, make_cyclic(f))
-        if label:
-            g = GroupModel(g.kind, g.order, label, g.identity, g.abelian,
-                           left=g._left, right=g._right, shape=g.cyclic_shape)
-        return g
+        return make_product(g, make_cyclic(factors[-1]), label)
     if kind == "table":
         if "n" not in kv or "table" not in kv:
             raise ParseError(ln, "table group needs 'n' and 'table'")

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import (AmbiguousSign, EmptyInput, MinimumResolution,
                      PreconditionError)
-from .groups import GroupModel, Subgroup, subgroup_from_members
+from .groups import (GroupModel, Subgroup, cayley_bfs, cayley_word,
+                     distinct_cyclic_subgroups, powers, subgroup_from_members)
 from .sumset import Subset, overlap_profile
 
 TRIANGLE_EXHAUSTIVE_LIMIT = 256
@@ -142,9 +143,12 @@ def verify_pseudometric(g: GroupModel, num: np.ndarray, sample_seed: int = 0,
     ``table.dense_num()`` for a table).  Triangle inequality: exhaustive
     N^3 scan up to TRIANGLE_EXHAUSTIVE_LIMIT; above that, the
     left-invariant pair reduction on row ``num[identity]`` (exhaustive
-    under invariance) plus sampled raw triples.
+    under invariance) plus sampled raw triples.  Every other scan reads
+    ``num`` one row (or one 64-row block) at a time, so above that limit
+    the extra memory is O(N).
     """
     n = g.order
+    idx = g.elements()
     norm_num = num[g.identity]
     witness = None
 
@@ -152,10 +156,14 @@ def verify_pseudometric(g: GroupModel, num: np.ndarray, sample_seed: int = 0,
     if not reflexive_ok:
         witness = ("reflexive", int(np.flatnonzero(np.diag(num))[0]))
 
-    symmetric_ok = bool(np.array_equal(num, num.T))
-    if symmetric_ok is False and witness is None:
-        i, j = map(int, np.argwhere(num != num.T)[0])
-        witness = ("symmetry", i, j)
+    symmetric_ok = True
+    for i in range(n):
+        bad = np.flatnonzero(num[i] != num[:, i])
+        if bad.size:
+            symmetric_ok = False
+            if witness is None:
+                witness = ("symmetry", i, int(bad[0]))
+            break
 
     triangle_ok = True
     if n <= TRIANGLE_EXHAUSTIVE_LIMIT:
@@ -169,16 +177,14 @@ def verify_pseudometric(g: GroupModel, num: np.ndarray, sample_seed: int = 0,
                     witness = ("triangle", i, j, k)
                 break
     else:
-        sums = norm_num[:, None] + norm_num[None, :]
-        prod_norm = np.empty((n, n), dtype=np.int64)
-        idx = g.elements()
+        # row u of the pair reduction: ||u v|| <= ||u|| + ||v|| for all v
         for u in range(n):
-            prod_norm[u] = norm_num[g.mul_vec(u, idx)]
-        if np.any(prod_norm > sums):
-            u, v = map(int, np.argwhere(prod_norm > sums)[0])
-            triangle_ok = False
-            if witness is None:
-                witness = ("triangle", g.identity, u, g.mul(u, v))
+            bad = np.flatnonzero(norm_num[g.mul_vec(u, idx)] > norm_num[u] + norm_num)
+            if bad.size:
+                triangle_ok = False
+                if witness is None:
+                    witness = ("triangle", g.identity, u, g.mul(u, int(bad[0])))
+                break
         rng = np.random.default_rng(sample_seed)
         for _ in range(20000):
             i, j, k = (int(x) for x in rng.integers(0, n, 3))
@@ -188,7 +194,6 @@ def verify_pseudometric(g: GroupModel, num: np.ndarray, sample_seed: int = 0,
                     witness = ("triangle", i, j, k)
                 break
 
-    idx = g.elements()
     if n <= invariance_samples:
         hs = range(n)
     else:
@@ -196,13 +201,11 @@ def verify_pseudometric(g: GroupModel, num: np.ndarray, sample_seed: int = 0,
     left_ok = True
     right_ok = True
     for h in hs:
-        lh = g.mul_vec(int(h), idx)
-        if left_ok and not np.array_equal(num[np.ix_(lh, lh)], num):
+        if left_ok and not _relabel_invariant(num, g.mul_vec(int(h), idx)):
             left_ok = False
             if witness is None:
                 witness = ("left invariance", int(h))
-        rh = g.rmul_vec(idx, int(h))
-        if right_ok and not np.array_equal(num[np.ix_(rh, rh)], num):
+        if right_ok and not _relabel_invariant(num, g.rmul_vec(idx, int(h))):
             right_ok = False
             if witness is None:
                 witness = ("right invariance", int(h))
@@ -210,6 +213,12 @@ def verify_pseudometric(g: GroupModel, num: np.ndarray, sample_seed: int = 0,
             break
     return PseudometricReport(reflexive_ok, symmetric_ok, triangle_ok,
                               left_ok, right_ok, witness)
+
+
+def _relabel_invariant(num: np.ndarray, perm: np.ndarray) -> bool:
+    """num[perm[i], perm[j]] == num[i, j] for all i, j, 64 rows at a time."""
+    return all(np.array_equal(num[perm[i:i + 64, None], perm], num[i:i + 64])
+               for i in range(0, len(perm), 64))
 
 
 # -- near-linearity ----------------------------------------------------------
@@ -297,26 +306,6 @@ class PathMonotoneReport:
     conclusion: MonotonicityReport
 
 
-def _subgroup_paths(g_model: GroupModel):
-    """Distinct cyclic subgroups with their generators.
-
-    Yields (canonical generator, [generator list]) per subgroup; the
-    generator list is every element generating that subgroup.
-    """
-    seen = {}
-    for x in range(g_model.order):
-        if x == g_model.identity:
-            continue
-        members = [g_model.identity]
-        p = x
-        while p != g_model.identity:
-            members.append(p)
-            p = g_model.mul(p, x)
-        key = tuple(sorted(members))
-        seen.setdefault(key, []).append(x)
-    return seen
-
-
 def path_monotone_check(d: PseudometricTable, gamma) -> PathMonotoneReport:
     """Per-direction monotonicity hypotheses, then the 8 gamma conclusion.
 
@@ -337,31 +326,31 @@ def path_monotone_check(d: PseudometricTable, gamma) -> PathMonotoneReport:
     rho = d.radius
     status = {}
     failed = None
-    for key, gens in _subgroup_paths(g).items():
-        canon = min(gens)
-        gens_sorted = sorted(gens, key=lambda x: (int(d.norm_num[x]), x))
+    for h in distinct_cyclic_subgroups(g):
+        canon = h.generator
+        base = powers(g, canon)
+        k = len(base)
+        # x = canon^j generates <canon> iff gcd(j, k) = 1; its powers are
+        # canon^(j i), read off the base walk
+        exps = sorted((j for j in range(1, k) if math.gcd(j, k) == 1),
+                      key=lambda j: (int(d.norm_num[base[j]]), int(base[j])))
         verdict = None
-        for x in gens_sorted:
-            powers = [g.identity]
-            p = x
-            while p != g.identity:
-                powers.append(p)
-                p = g.mul(p, x)
-            powers = np.array(powers, dtype=np.int64)
-            pnorm = d.norm_num[powers]
+        for j in exps:
+            pows = base[(j * np.arange(k)) % k]
+            pnorm = d.norm_num[pows]
             if all(Fraction(int(v), den) <= gamma for v in pnorm):
                 verdict = "zero-path"
                 break
             # closed upper end: the grid convention for I(rho/2) \ I(rho/4)
             # (a norm quantum can exceed the half-open window's width)
-            candidates = [k for k in range(1, len(powers))
-                          if rho / 4 <= Fraction(int(pnorm[k]), den) <= rho / 2]
+            candidates = [i for i in range(1, k)
+                          if rho / 4 <= Fraction(int(pnorm[i]), den) <= rho / 2]
             for k0 in candidates:
-                g0 = int(powers[k0])
+                g0 = int(pows[k0])
                 sq = g.mul(g0, g0)
                 if Fraction(abs(int(d.norm_num[sq]) - 2 * int(pnorm[k0])), den) > gamma:
                     continue
-                inv_pow = g.inv_vec(powers[:k0 + 1])
+                inv_pow = g.inv_vec(pows[:k0 + 1])
                 dist = d.norm_num[g.mul_arr(inv_pow,
                                             np.full(k0 + 1, g0, dtype=np.int64))]
                 dev = np.abs(pnorm[:k0 + 1] + dist - int(pnorm[k0]))
@@ -372,9 +361,8 @@ def path_monotone_check(d: PseudometricTable, gamma) -> PathMonotoneReport:
                 break
         if verdict is None:
             mono_window = rho / 2 - 2 * gamma
-            members = np.array(key, dtype=np.int64)
             enters = any(gamma < Fraction(int(v), den) <= mono_window
-                         for v in d.norm_num[members])
+                         for v in d.norm_num[base])
             verdict = "vacuous" if not enters else "failed"
         status[canon] = verdict
         if verdict == "failed" and failed is None:
@@ -860,29 +848,10 @@ def loop_quantization_check(ctx: SignContext, lam, alpha, trials: int,
     _, _, n_max = _loop_bounds(d, lam)
 
     # BFS over the ball Cayley graph gives deterministic closure paths.
-    parent = {g.identity: None}
-    order = [g.identity]
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        for a in gens:
-            y = g.mul(x, a)
-            if y not in parent:
-                parent[y] = (x, a)
-                order.append(y)
+    parent = cayley_bfs(g, gens)
     if len(parent) < g.order:
         raise MinimumResolution("N(lambda) does not generate the group")
-
-    def path_to(x: int):
-        out = []
-        while parent[x] is not None:
-            x, a = parent[x]
-            out.append(a)
-        out.reverse()
-        return out
-
-    diameter = max(len(path_to(x)) for x in order)
+    diameter = max(len(cayley_word(parent, x)) for x in parent)
     rng = np.random.default_rng(seed)
     max_res = Fraction(0)
     checked = 0
@@ -892,7 +861,7 @@ def loop_quantization_check(ctx: SignContext, lam, alpha, trials: int,
         p = g.identity
         for a in walk:
             p = g.mul(p, a)
-        closure = path_to(g.inv(p))
+        closure = cayley_word(parent, g.inv(p))
         loop = walk + closure
         if len(loop) == 0 or len(loop) > n_max:
             continue

@@ -36,11 +36,13 @@ def planted_files(tmp_path):
 def test_group_file_roundtrip(tmp_path):
     for g in (make_cyclic(37),
               make_product(make_cyclic(6), make_cyclic(4)),
+              make_product(make_product(make_cyclic(2), make_cyclic(3)),
+                           make_cyclic(4), "T"),
               make_from_table(symmetric_group_table(3)[0], "S3")):
         path = tmp_path / "g.group"
         save_group(str(path), g)
         g2 = load_group(str(path))
-        assert g2.order == g.order
+        assert g2.order == g.order and g2.label == g.label
         assert np.array_equal(g2.full_table(), g.full_table())
 
 

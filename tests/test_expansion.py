@@ -8,7 +8,8 @@ import pytest
 from kemplab import (Arc, Subset, bohr_preimage, covering_tori, cyclic_subgroup,
                      deficit, enumerate_characters, find_translate_overlap,
                      is_nearly_minimal, kneser_witness, make_cyclic,
-                     make_from_table, make_product, shrink_to_size,
+                     make_from_table, make_product, nonexpander_probe,
+                     shrink_to_size,
                      submodular_check, symmetric_group_table,
                      toric_expansion_ratios)
 from kemplab.errors import EmptyInput, PreconditionError
@@ -253,3 +254,34 @@ def test_translate_overlap_reachable_along_direction():
     while want <= a.measure():
         assert want in values, want
         want += step
+
+
+# -- golden outputs, frozen before the group primitives were merged ---------
+
+def s3_z20():
+    return make_product(make_from_table(symmetric_group_table(3)[0], "S3"),
+                        make_cyclic(20))
+
+
+S3Z20_RATIOS = {1: "4", 2: "11/3", 4: "19/6", 5: "10/3", 10: "29/15",
+                20: "29/15", 21: "4", 22: "4", 24: "4", 25: "14/5", 30: "5/3",
+                40: "9/5", 41: "4", 42: "4", 44: "11/3", 45: "14/5", 50: "9/5",
+                60: "23/10", 61: "4", 62: "4", 64: "4", 65: "4", 70: "16/5",
+                100: "26/15", 101: "4", 102: "11/3", 104: "11/3", 105: "8/3",
+                110: "29/15"}
+
+
+def test_golden_toric_ratios_s3_z20():
+    g = s3_z20()
+    rng = np.random.default_rng(5)
+    a = Subset.from_indices(g, rng.choice(120, 30, replace=False))
+    rep = toric_expansion_ratios(g, a)
+    assert [(k, str(v)) for k, v in rep.ratios.items()] == list(S3Z20_RATIOS.items())
+    assert (rep.max_ratio, rep.argmax_generator) == (4, 1)
+
+
+def test_golden_nonexpander_probe_s3_z20():
+    rep = nonexpander_probe(s3_z20(), 2, 40, seed=3)
+    assert rep.best_indices == tuple(range(0, 120, 2))
+    assert rep.trace == [(5, "1/2")]
+    assert (rep.evaluations, rep.best_measure) == (40, Fraction(1, 2))

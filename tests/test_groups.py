@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from kemplab import (Arc, AxiomViolation, NotNormal, abelianization,
                      bohr_preimage, cyclic_subgroup, default_character_modulus,
-                     enumerate_characters, is_normal, make_cyclic,
+                     distinct_cyclic_subgroups, enumerate_characters,
+                     generated_subgroup, is_normal, make_cyclic,
                      make_from_table, make_product, quotient,
                      symmetric_group_table)
 from kemplab.errors import PreconditionError
@@ -196,3 +197,56 @@ def test_make_product_overflow_guard():
 def test_default_character_modulus_product():
     g = make_product(make_cyclic(48), make_cyclic(5))
     assert default_character_modulus(g) == 240     # exponent of Z_48 x Z_5
+
+
+# -- golden outputs, frozen before the group primitives were merged ---------
+
+def s3_z20():
+    return make_product(s3(), make_cyclic(20))
+
+
+S3Z20_CYCLIC = [(1, 20), (2, 10), (4, 5), (5, 4), (10, 2), (20, 2), (21, 20),
+                (22, 10), (24, 10), (25, 4), (30, 2), (40, 2), (41, 20),
+                (42, 10), (44, 10), (45, 4), (50, 2), (60, 3), (61, 60),
+                (62, 30), (64, 15), (65, 12), (70, 6), (100, 2), (101, 20),
+                (102, 10), (104, 10), (105, 4), (110, 2)]
+Z48Z5_CYCLIC = [(1, 5), (5, 48), (6, 240), (10, 24), (11, 120), (15, 16),
+                (16, 80), (20, 12), (21, 60), (30, 8), (31, 40), (40, 6),
+                (41, 30), (60, 4), (61, 20), (80, 3), (81, 15), (120, 2),
+                (121, 10)]
+
+
+@pytest.mark.parametrize("model, expect", [
+    (s3_z20, S3Z20_CYCLIC),
+    (lambda: make_product(make_cyclic(48), make_cyclic(5)), Z48Z5_CYCLIC)])
+def test_golden_distinct_cyclic_subgroups(model, expect):
+    g = model()
+    subs = distinct_cyclic_subgroups(g)
+    assert [(h.generator, h.order) for h in subs] == expect
+    # every subgroup is exactly <generator>, listed once
+    assert all(h.members == cyclic_subgroup(g, h.generator).members for h in subs)
+    assert len({h.members for h in subs}) == len(subs)
+
+
+S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+            [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]]
+
+
+def test_golden_generated_subgroup_and_quotient_s3_z20():
+    g = s3_z20()
+    evens = tuple(range(0, 20, 2))
+    expect = {(1,): tuple(range(20)),
+              (20,): (0, 20),
+              (20, 41): tuple(range(120)),
+              (47,): evens + tuple(x + 41 for x in evens),
+              (61, 22): tuple(range(120)),
+              # (s, t) with t even exactly when s is an even permutation
+              (43, 86): tuple(x for x in range(120)
+                              if (x + (x // 20 in (1, 2, 5))) % 2 == 0)}
+    for gens, members in expect.items():
+        assert generated_subgroup(g, gens).members == members
+    q, proj = quotient(g, cyclic_subgroup(g, 1))           # G / ({e} x Z20)
+    assert (q.order, q.identity, q.label) == (6, 0, "S3xZ20/H20")
+    assert q.full_table().tolist() == S3_TABLE
+    assert [q.inv(x) for x in range(6)] == [0, 1, 2, 4, 3, 5]
+    assert np.array_equal(proj, np.arange(120) // 20)

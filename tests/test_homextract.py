@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kemplab import (AlmostHom, Arc, PipelineConfig, Subset, alpha_lambda,
+from kemplab import (AlmostHom, Arc, FiberRigidityReport, PipelineConfig,
+                     Subset, alpha_lambda,
                      almost_hom, bohr_preimage, cyclic_subgroup,
                      enumerate_characters, fiberwise_rigidity_report,
                      inverse_pipeline, kernel_norm_check, make_cyclic,
@@ -224,3 +225,17 @@ def test_pipeline_denoise_fault_names_shrink_stage():
         inverse_pipeline(g, a1, b1, Fraction(1, 2), PipelineConfig(target_modulus=48))
     assert exc.value.stage == "shrink"
     assert "side a" in str(exc.value) and "4 cells against a target of 20" in str(exc.value)
+
+
+def test_golden_fiberwise_rigidity_demo_instance():
+    # demo 02's planted pair along <(1, 0)>, then with two cells of A dropped
+    g, chi, a, b = planted()
+    h = cyclic_subgroup(g, 5)
+    rep = fiberwise_rigidity_report(g, h, a, b, Fraction(1, 240))
+    assert rep == FiberRigidityReport(Fraction(1), True, Fraction(0), Fraction(0),
+                                      Fraction(0), 0, 200, 20, 0)
+    drop = np.random.default_rng(3).choice(a.indices(), size=2, replace=False)
+    a1 = a.difference(Subset.from_indices(g, drop))
+    rep = fiberwise_rigidity_report(g, h, a1, b, Fraction(1, 48))
+    assert rep == FiberRigidityReport(Fraction(1), True, Fraction(1, 24), Fraction(0),
+                                      Fraction(1, 24), 0, 200, 20, 0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kemplab import (SignContext, Subset, alpha_lambda,
+from kemplab import (PseudometricTable, SignContext, Subset, alpha_lambda,
                      ball, ball_growth_check, gamma_linearity,
                      gamma_monotonicity, irreducible_concatenation,
                      is_irreducible, kernel_subgroup, loop_quantization_check,
@@ -377,3 +377,56 @@ def test_entries_dense_and_scalar_norm_agree(kind, data):
         for g2 in range(g.order):
             scalar = d.norm(g.mul(g.inv(g1), g2))
             assert d.d(g1, g2) == Fraction(int(dense[g1, g2]), d.den) == scalar
+
+
+# -- golden outputs, frozen before the group primitives were merged ---------
+
+PLANTED_STATUS = {1: "zero-path", 5: "window", 6: "window", 10: "window",
+                  11: "window", 15: "window", 16: "window", 20: "window",
+                  21: "window", 30: "vacuous", 31: "vacuous", 40: "vacuous",
+                  41: "vacuous", 60: "vacuous", 61: "vacuous", 80: "vacuous",
+                  81: "vacuous", 120: "vacuous", 121: "vacuous"}
+
+
+def test_golden_path_monotone_status_noncyclic():
+    # Z48 x Z5 with the planted A = chi^-1([0, 10)): many generators per subgroup
+    g = make_product(make_cyclic(48), make_cyclic(5))
+    a = Subset.from_indices(g, range(50))
+    rep = path_monotone_check(pseudometric_from_set(g, a), 0)
+    assert rep.generator_status == PLANTED_STATUS
+    assert list(rep.generator_status) == sorted(PLANTED_STATUS)
+
+
+def test_golden_loop_quantization_arc():
+    z, d = arc_table()
+    ctx = SignContext(d, 0)
+    for alpha, trials, seed, checked in ((Fraction(1), 200, 3, 200),
+                                         (Fraction(1), 1000, 4, 987),
+                                         (Fraction(7, 6), 300, 5, 296)):
+        rep = loop_quantization_check(ctx, Fraction(5, 360), alpha, trials, seed=seed)
+        assert (rep.checked, rep.max_residual, rep.holds) == (checked, 0, True)
+
+
+def _flags(rep):
+    return (rep.reflexive_ok, rep.symmetric_ok, rep.triangle_ok,
+            rep.left_invariant_ok, rep.right_invariant_ok)
+
+
+def test_verify_catches_failures_above_exhaustive_limit():
+    # N = 300 > TRIANGLE_EXHAUSTIVE_LIMIT: the pair-reduction branch.  A
+    # norm vector with ||7|| = ||7^-1|| raised keeps symmetry and both
+    # invariances but breaks ||7|| <= ||1|| + ||6||.
+    z, d = arc_table(300, 100)
+    norm = d.norm_num.copy()
+    norm[[7, 293]] += 40
+    rep = verify_pseudometric(z, PseudometricTable(z, norm, d.den).dense_num())
+    assert _flags(rep) == (True, True, False, True, True)
+    assert rep.witness == ("triangle", 0, 1, 7)
+    assert verify_pseudometric(z, d.dense_num()).all_ok
+    # one symmetric pair of cells raised: only the invariance samples see it
+    num = d.dense_num()
+    num[30, 170] += 5
+    num[170, 30] += 5
+    rep = verify_pseudometric(z, num)
+    assert _flags(rep) == (True, True, True, False, False)
+    assert rep.witness == ("left invariance", 296)
