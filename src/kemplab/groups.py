@@ -2,10 +2,12 @@
 
 Elements are dense indices 0..N-1 and the normalized counting measure
 |S|/N plays the role of the Haar measure, so every measure statement in
-the library is a statement about integers.  Three constructions cover
-the models we need: cyclic groups Z_n (the discretized circle), direct
-products (discretized tori and fibered examples), and explicit
-multiplication tables (nonabelian test groups).
+the library is a statement about integers.  A model is a direct product
+of factors, each a cyclic group Z_n (the discretized circle) or an
+explicit multiplication table (nonabelian test groups and quotients), so
+tori and fibered examples are lists of circles plus a few table factors.
+An element's index is its mixed-radix number: the coordinate in each
+factor is one digit, most significant factor first.
 """
 
 from __future__ import annotations
@@ -27,83 +29,103 @@ EXHAUSTIVE_LIMIT = 512
 class GroupModel:
     """A finite group on indices 0..order-1 with exact counting measure.
 
-    Instances are immutable; all operations on them are pure.  The
-    ``kind`` is one of ``cyclic``, ``product``, ``table``.  Product
-    indices are row-major: (a, b) in G x H sits at ``a * |H| + b``.
-    ``_cache`` memoizes data derived from the model (translate rows,
-    coset partitions, quotients) and is freed with it.
+    The model is the direct product of its ``factors``, most significant
+    first; each factor is ``(n, table, inv, identity)`` with ``table``
+    and ``inv`` None for the cyclic Z_n and read-only arrays otherwise.
+    The index of (x_1, ..., x_k) is the mixed-radix number
+    sum x_i * stride_i, stride_i the product of the later factor orders,
+    so (a, b) in G x H sits at ``a * |H| + b`` however the product was
+    nested.  Every operation is one loop over digits; a one-factor model
+    takes the direct path.  ``order``, ``identity`` and ``abelian`` are
+    computed once from the factors; ``kind`` is ``cyclic`` or ``table``
+    for one factor and ``product`` otherwise.  Instances are immutable
+    and all operations on them are pure; ``_cache`` memoizes data derived
+    from the model (translate rows, coset partitions, quotients) and is
+    freed with it.
     """
 
-    __slots__ = ("kind", "order", "label", "identity", "abelian",
-                 "_n", "_left", "_right", "_table", "_inv", "_shape", "_cache")
+    __slots__ = ("label", "factors", "order", "identity", "abelian", "_digits", "_cache")
 
-    def __init__(self, kind, order, label, identity, abelian,
-                 n=None, left=None, right=None, table=None, inv=None, shape=None):
-        self.kind = kind
-        self.order = order
+    def __init__(self, factors, label: str):
         self.label = label
-        self.identity = identity
-        self.abelian = abelian
-        self._n = n            # cyclic modulus
-        self._left = left      # product factor
-        self._right = right    # product factor
-        self._table = table    # order x order int array
-        self._inv = inv        # inverse lookup
-        self._shape = shape    # tuple of cyclic factor orders, or None
+        self.factors = tuple(factors)
+        self.order = math.prod(n for n, _, _, _ in self.factors)
+        if self.order > 2**31:
+            raise PreconditionError("index space",
+                                    f"order {self.order} overflows the dense index space")
+        self.identity, stride, digits = 0, self.order, []
+        for n, table, inv, e in self.factors:
+            stride //= n
+            self.identity += e * stride
+            digits.append((n, stride, table, inv))
+        self._digits = tuple(digits)      # (n, stride, table, inv) per factor
+        self.abelian = all(t is None or np.array_equal(t, t.T) for _, t, _, _ in self.factors)
         self._cache = {}
+
+    @property
+    def kind(self) -> str:
+        fs = self.factors
+        return "product" if len(fs) > 1 else "cyclic" if fs[0][1] is None else "table"
 
     # -- core operations ------------------------------------------------
 
+    # A cyclic digit is (a // s + b // s) % n: the outer mod also drops
+    # the higher digits, so a // s needs no mod of its own.
+
     def mul(self, a: int, b: int) -> int:
-        if self.kind == "cyclic":
-            return (a + b) % self._n
-        if self.kind == "table":
-            return int(self._table[a, b])
-        nh = self._right.order
-        return self._left.mul(a // nh, b // nh) * nh + self._right.mul(a % nh, b % nh)
+        fs = self._digits
+        if len(fs) == 1:
+            n, _, t, _ = fs[0]
+            return (a + b) % n if t is None else int(t[a, b])
+        out = 0
+        for n, s, t, _ in fs:
+            if t is None:
+                out += (a // s + b // s) % n * s
+            else:
+                out += int(t[a // s % n, b // s % n]) * s
+        return out
 
     def inv(self, a: int) -> int:
-        if self.kind == "cyclic":
-            return (-a) % self._n
-        if self.kind == "table":
-            return int(self._inv[a])
-        nh = self._right.order
-        return self._left.inv(a // nh) * nh + self._right.inv(a % nh)
+        fs = self._digits
+        if len(fs) == 1:
+            n, _, _, iv = fs[0]
+            return -a % n if iv is None else int(iv[a])
+        out = 0
+        for n, s, _, iv in fs:
+            out += (-(a // s) % n if iv is None else int(iv[a // s % n])) * s
+        return out
+
+    def _products(self, xs, ys) -> np.ndarray:
+        """Elementwise xs * ys over broadcast index arrays (or ints)."""
+        fs = self._digits
+        if len(fs) == 1:
+            n, _, t, _ = fs[0]
+            return (xs + ys) % n if t is None else t[xs, ys]
+        out = 0
+        for n, s, t, _ in fs:
+            if t is None:
+                out += (xs // s + ys // s) % n * s
+            else:
+                out += t[xs // s % n, ys // s % n] * s
+        return out
 
     def mul_vec(self, a: int, xs: np.ndarray) -> np.ndarray:
         """Vectorized left translation: index array of a*xs."""
-        if self.kind == "cyclic":
-            return (a + xs) % self._n
-        if self.kind == "table":
-            return self._table[a, xs]
-        nh = self._right.order
-        return self._left.mul_vec(a // nh, xs // nh) * nh + self._right.mul_vec(a % nh, xs % nh)
+        return self._products(a, xs)
 
     def rmul_vec(self, xs: np.ndarray, a: int) -> np.ndarray:
         """Vectorized right translation: index array of xs*a."""
-        if self.kind == "cyclic":
-            return (xs + a) % self._n
-        if self.kind == "table":
-            return self._table[xs, a]
-        nh = self._right.order
-        return self._left.rmul_vec(xs // nh, a // nh) * nh + self._right.rmul_vec(xs % nh, a % nh)
+        return self._products(xs, a)
 
     def inv_vec(self, xs: np.ndarray) -> np.ndarray:
-        if self.kind == "cyclic":
-            return (-xs) % self._n
-        if self.kind == "table":
-            return self._inv[xs]
-        nh = self._right.order
-        return self._left.inv_vec(xs // nh) * nh + self._right.inv_vec(xs % nh)
+        out = 0
+        for n, s, _, iv in self._digits:
+            out += (-(xs // s) % n if iv is None else iv[xs // s % n]) * s
+        return out
 
     def mul_arr(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Elementwise products of two index arrays."""
-        if self.kind == "cyclic":
-            return (xs + ys) % self._n
-        if self.kind == "table":
-            return self._table[xs, ys]
-        nh = self._right.order
-        return self._left.mul_arr(xs // nh, ys // nh) * nh + self._right.mul_arr(xs % nh, ys % nh)
+        return self._products(xs, ys)
 
     def elements(self) -> np.ndarray:
         return np.arange(self.order, dtype=np.int64)
@@ -113,20 +135,18 @@ class GroupModel:
 
     @property
     def cyclic_shape(self) -> Optional[tuple]:
-        """Factor shape (n1, ..., nk) when the model is a product of
-        cyclic groups in row-major order; None otherwise.  This is what
-        the FFT sumset path keys on."""
-        return self._shape
+        """Factor shape (n1, ..., nk) when every factor is cyclic; None
+        otherwise.  This is what the FFT sumset path keys on."""
+        shape = tuple(n for n, t, _, _ in self.factors if t is None)
+        return shape if len(shape) == len(self.factors) else None
 
     def measure(self, count: int) -> Fraction:
         return Fraction(count, self.order)
 
     def signature(self):
-        if self.kind == "cyclic":
-            return ("cyclic", self._n)
-        if self.kind == "product":
-            return ("product", self._left.signature(), self._right.signature())
-        return ("table", self.order, self._table.tobytes())
+        """One entry per factor, so every nesting of a product agrees."""
+        return tuple(("cyclic", n) if t is None else ("table", n, t.tobytes())
+                     for n, t, _, _ in self.factors)
 
     def same_model(self, other: "GroupModel") -> bool:
         return self is other or self.signature() == other.signature()
@@ -144,28 +164,21 @@ class GroupModel:
         """Check the group axioms; exhaustive for order <= EXHAUSTIVE_LIMIT.
 
         Raises AxiomViolation with the offending witness.  Constructed
-        cyclic/product models satisfy the axioms by arithmetic, but the
-        scan is the same for every kind so tests can rely on it.
+        models satisfy the axioms by arithmetic, but the scan is the same
+        for every kind so tests can rely on it.
         """
         n = self.order
         idx = self.elements()
         e = self.identity
-        if not (np.all(self.mul_vec(e, idx) == idx) and np.all(self.rmul_vec(idx, e) == idx)):
-            bad = int(np.flatnonzero(self.mul_vec(e, idx) != idx)[0]) if not np.all(
-                self.mul_vec(e, idx) == idx) else int(np.flatnonzero(self.rmul_vec(idx, e) != idx)[0])
-            raise AxiomViolation("identity", (bad,))
-        invs = self.inv_vec(idx)
-        prods = np.array([self.mul(int(g), int(invs[g])) for g in idx])
-        if not np.all(prods == e):
-            bad = int(np.flatnonzero(prods != e)[0])
-            raise AxiomViolation("inverse", (bad,))
+        for translate in (self.mul_vec(e, idx), self.rmul_vec(idx, e)):
+            bad = np.flatnonzero(translate != idx)
+            if bad.size:
+                raise AxiomViolation("identity", (int(bad[0]),))
+        bad = np.flatnonzero(self.mul_arr(idx, self.inv_vec(idx)) != e)
+        if bad.size:
+            raise AxiomViolation("inverse", (int(bad[0]),))
         if n <= EXHAUSTIVE_LIMIT:
-            table = self.full_table()
-            for a in range(n):
-                if not np.all(table[table[a], :] == table[a, table]):
-                    row = table[table[a], :] != table[a, table]
-                    b, c = map(int, np.argwhere(row)[0])
-                    raise AxiomViolation("associativity", (a, b, c))
+            _check_associative(self.full_table())
         else:
             rng = rng or np.random.default_rng(0)
             for _ in range(samples):
@@ -175,41 +188,53 @@ class GroupModel:
         return True
 
     def full_table(self) -> np.ndarray:
-        """Materialize the multiplication table (memory: order^2 ints)."""
-        if self.kind == "table":
-            return self._table
-        rows = [self.mul_vec(a, self.elements()) for a in range(self.order)]
-        return np.stack(rows).astype(np.int64)
+        """The multiplication table (memory: order^2 ints); read-only for
+        a one-factor table model, whose stored table it is."""
+        fs = self.factors
+        if len(fs) == 1 and fs[0][1] is not None:
+            return fs[0][1]
+        idx = self.elements()
+        return self._products(idx[:, None], idx[None, :])
 
 
-def _scan_abelian(table: np.ndarray) -> bool:
-    return bool(np.array_equal(table, table.T))
+def _check_associative(table: np.ndarray):
+    """Raise AxiomViolation at the first (a, b, c) with (ab)c != a(bc);
+    exhaustive, one vectorized pass per row a."""
+    for a in range(len(table)):
+        bad = table[table[a], :] != table[a, table]
+        if bad.any():
+            b, c = map(int, np.argwhere(bad)[0])
+            raise AxiomViolation("associativity", (a, b, c))
+
+
+def _table_model(table: np.ndarray, identity: int, inv: np.ndarray, label: str) -> GroupModel:
+    """A one-factor model over read-only copies of a table and its inverses."""
+    table = np.array(table, dtype=np.int64)
+    inv = np.array(inv, dtype=np.int64)
+    table.setflags(write=False)
+    inv.setflags(write=False)
+    return GroupModel([(len(table), table, inv, int(identity))], label)
 
 
 def make_cyclic(n: int, label: Optional[str] = None) -> GroupModel:
     """Cyclic group Z_n with addition mod n (discretized circle)."""
     if n < 1:
         raise PreconditionError("n >= 1", f"got {n}")
-    return GroupModel("cyclic", n, label or f"Z{n}", 0, True, n=n, shape=(n,))
+    return GroupModel([(n, None, None, 0)], label or f"Z{n}")
 
 
 def make_product(g: GroupModel, h: GroupModel, label: Optional[str] = None) -> GroupModel:
-    """Direct product with componentwise multiplication, row-major index."""
-    order = g.order * h.order
-    if order > 2**31:
-        raise PreconditionError("index space", f"order {order} overflows the dense index space")
-    shape = None
-    if g.cyclic_shape is not None and h.cyclic_shape is not None:
-        shape = g.cyclic_shape + h.cyclic_shape
-    return GroupModel("product", order, label or f"{g.label}x{h.label}",
-                      g.identity * h.order + h.identity, g.abelian and h.abelian,
-                      left=g, right=h, shape=shape)
+    """Direct product with componentwise multiplication: the factor lists
+    of g and h concatenated, so the index of (a, b) is a * |h| + b."""
+    return GroupModel(g.factors + h.factors, label or f"{g.label}x{h.label}")
 
 
 def make_from_table(table, label: Optional[str] = None) -> GroupModel:
     """Build and validate a group from an explicit N x N index table.
 
-    Raises AxiomViolation naming the failed axiom with a witness triple.
+    The model keeps a read-only copy, so later writes to ``table`` do not
+    reach it.  Raises AxiomViolation naming the failed axiom with a
+    witness triple.
     """
     table = np.asarray(table, dtype=np.int64)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
@@ -227,23 +252,14 @@ def make_from_table(table, label: Optional[str] = None) -> GroupModel:
     if identity is None:
         raise AxiomViolation("identity", ())
 
-    inv = np.full(n, -1, dtype=np.int64)
-    for a in range(n):
-        hits = np.flatnonzero(table[a] == identity)
-        if hits.size == 0 or table[int(hits[0]), a] != identity:
-            raise AxiomViolation("inverse", (a,))
-        inv[a] = hits[0]
+    # the first right inverse of each row must also be a left inverse
+    inv = np.argmax(table == identity, axis=1)
+    bad = np.flatnonzero((table[idx, inv] != identity) | (table[inv, idx] != identity))
+    if bad.size:
+        raise AxiomViolation("inverse", (int(bad[0]),))
 
-    # associativity: exhaustive for moderate n, one vectorized pass per row
-    for a in range(n):
-        lhs = table[table[a], :]
-        rhs = table[a][table]
-        if not np.array_equal(lhs, rhs):
-            b, c = map(int, np.argwhere(lhs != rhs)[0])
-            raise AxiomViolation("associativity", (a, b, c))
-
-    return GroupModel("table", n, label or f"table{n}", identity,
-                      _scan_abelian(table), table=table, inv=inv)
+    _check_associative(table)
+    return _table_model(table, identity, inv, label or f"table{n}")
 
 
 def symmetric_group_table(n: int):
@@ -433,9 +449,7 @@ def quotient(g_model: GroupModel, h: Subgroup):
     q = len(reps)
     table = proj[g_model.mul_arr(np.repeat(reps, q), np.tile(reps, q))].reshape(q, q)
     e = int(proj[g_model.identity])
-    inv = np.argmax(table == e, axis=1)
-    qmodel = GroupModel("table", q, f"{g_model.label}/H{h.order}", e,
-                        _scan_abelian(table), table=table, inv=inv)
+    qmodel = _table_model(table, e, np.argmax(table == e, axis=1), f"{g_model.label}/H{h.order}")
     g_model._cache[key] = (qmodel, proj)
     return qmodel, proj
 

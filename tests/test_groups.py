@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kemplab import (Arc, AxiomViolation, NotNormal, abelianization,
                      bohr_preimage, cyclic_subgroup, default_character_modulus,
@@ -250,3 +252,205 @@ def test_golden_generated_subgroup_and_quotient_s3_z20():
     assert q.full_table().tolist() == S3_TABLE
     assert [q.inv(x) for x in range(6)] == [0, 1, 2, 4, 3, 5]
     assert np.array_equal(proj, np.arange(120) // 20)
+
+
+# -- frozen before the model was flattened into one factor list ------------
+
+def z(n):
+    return make_cyclic(n)
+
+
+def relabelled_z3():
+    # Z3 with its elements renamed by p = (2, 0, 1): the identity sits at 2
+    p = np.array([2, 0, 1])
+    table = np.zeros((3, 3), dtype=np.int64)
+    for a in range(3):
+        for b in range(3):
+            table[p[a], p[b]] = p[(a + b) % 3]
+    return make_from_table(table, "T3")
+
+
+ORACLE_MODELS = {
+    "Z97": lambda: z(97),
+    "Z48xZ5": lambda: make_product(z(48), z(5)),
+    "(Z2xZ3)xZ5": lambda: make_product(make_product(z(2), z(3)), z(5)),
+    "Z2x(Z3xZ5)": lambda: make_product(z(2), make_product(z(3), z(5))),
+    "Z1xZ5": lambda: make_product(z(1), z(5)),
+    "S3": s3,
+    "S3xZ20": s3_z20,
+    "S3x(S3xZ2)": lambda: make_product(s3(), make_product(s3(), z(2))),
+    "T3xZ4": lambda: make_product(relabelled_z3(), z(4)),
+    "quotient": lambda: quotient(s3_z20(), cyclic_subgroup(s3_z20(), 60))[0],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_MODELS)), st.data())
+def test_operations_match_table_oracle(name, data):
+    g = ORACLE_MODELS[name]()
+    oracle = make_from_table(g.full_table())
+    assert oracle.identity == g.identity and oracle.abelian == g.abelian
+    elem = st.integers(0, g.order - 1)
+    a, b = data.draw(elem), data.draw(elem)
+    assert g.mul(a, b) == oracle.mul(a, b)
+    assert g.inv(a) == oracle.inv(a)
+    xs = np.array(data.draw(st.lists(elem, max_size=12)), dtype=np.int64)
+    ys = np.array(data.draw(st.lists(elem, min_size=len(xs), max_size=len(xs))),
+                  dtype=np.int64)
+    for got, want in ((g.mul_vec(a, xs), oracle.mul_vec(a, xs)),
+                      (g.rmul_vec(xs, a), oracle.rmul_vec(xs, a)),
+                      (g.inv_vec(xs), oracle.inv_vec(xs)),
+                      (g.mul_arr(xs, ys), oracle.mul_arr(xs, ys))):
+        assert got.tolist() == want.tolist()
+
+
+def product_table(*tables):
+    """Row-major table of a direct product, built from the factor tables."""
+    out = np.zeros((1, 1), dtype=np.int64)
+    for t in tables:
+        n = len(t)
+        out = (out[:, None, :, None] * n + t[None, :, None, :]).reshape(len(out) * n, -1)
+    return out
+
+
+def test_scalar_and_full_tables_match_factor_tables():
+    def zt(n):
+        return np.add.outer(np.arange(n), np.arange(n)) % n
+
+    s3t = np.array(S3_TABLE)
+    for name, tables in (("Z48xZ5", (zt(48), zt(5))),
+                         ("(Z2xZ3)xZ5", (zt(2), zt(3), zt(5))),
+                         ("Z2x(Z3xZ5)", (zt(2), zt(3), zt(5))),
+                         ("Z1xZ5", (zt(1), zt(5))),
+                         ("S3xZ20", (s3t, zt(20))),
+                         ("S3x(S3xZ2)", (s3t, s3t, zt(2)))):
+        g = ORACLE_MODELS[name]()
+        want = product_table(*tables)
+        assert np.array_equal(g.full_table(), want)
+        n = g.order
+        assert [[g.mul(a, b) for b in range(n)] for a in range(n)] == want.tolist()
+        assert all(want[a, g.inv(a)] == g.identity for a in range(n))
+
+
+def test_z2_16_matches_coordinate_arithmetic():
+    # Z2^16 built by repeated products, as the suites build it: each
+    # coordinate is one bit of the index, so the product is XOR
+    g = z(2)
+    for _ in range(15):
+        g = make_product(g, z(2))
+    assert (g.order, g.identity, g.cyclic_shape) == (2 ** 16, 0, (2,) * 16)
+    rng = np.random.default_rng(5)
+    xs = rng.integers(0, 2 ** 16, 4096)
+    ys = rng.integers(0, 2 ** 16, 4096)
+    a = int(xs[0])
+    assert np.array_equal(g.mul_arr(xs, ys), xs ^ ys)
+    assert np.array_equal(g.mul_vec(a, ys), a ^ ys)
+    assert np.array_equal(g.rmul_vec(ys, a), ys ^ a)
+    assert np.array_equal(g.inv_vec(xs), xs)
+    assert all(g.mul(int(x), int(y)) == int(x) ^ int(y)
+               for x, y in zip(xs[:200], ys[:200]))
+    assert all(g.inv(int(x)) == int(x) for x in xs[:200])
+
+
+def pins(g):
+    return (g.identity, g.abelian, g.kind, g.cyclic_shape, g.label)
+
+
+def test_pinned_attributes_of_every_construction():
+    assert pins(z(7)) == (0, True, "cyclic", (7,), "Z7")
+    assert pins(make_cyclic(7, "C")) == (0, True, "cyclic", (7,), "C")
+    assert pins(make_product(z(2), z(3))) == (0, True, "product", (2, 3), "Z2xZ3")
+    assert pins(make_product(z(1), z(5))) == (0, True, "product", (1, 5), "Z1xZ5")
+    assert pins(make_product(make_product(z(2), z(3)), z(5), "T")) \
+        == (0, True, "product", (2, 3, 5), "T")
+    assert pins(make_product(z(2), make_product(z(3), z(5)))) \
+        == (0, True, "product", (2, 3, 5), "Z2xZ3xZ5")
+    assert pins(s3()) == (0, False, "table", None, "S3")
+    assert pins(make_from_table(s3().full_table())) == (0, False, "table", None, "table6")
+    assert pins(relabelled_z3()) == (2, True, "table", None, "T3")
+    assert pins(make_product(relabelled_z3(), z(4))) == (8, True, "product", None, "T3xZ4")
+    assert pins(make_product(z(4), relabelled_z3())) == (2, True, "product", None, "Z4xT3")
+    assert pins(s3_z20()) == (0, False, "product", None, "S3xZ20")
+    assert pins(quotient(s3_z20(), cyclic_subgroup(s3_z20(), 1))[0]) \
+        == (0, False, "table", None, "S3xZ20/H20")
+    assert pins(quotient(z(10), cyclic_subgroup(z(10), 2))[0]) \
+        == (0, True, "table", None, "Z10/H5")
+    assert pins(abelianization(s3())[0]) == (0, True, "table", None, "S3/H3")
+    assert pins(abelianization(s3_z20())[0]) == (0, True, "table", None, "S3xZ20/H3")
+    z12 = z(12)
+    assert abelianization(z12)[0] is z12
+
+
+def test_pinned_attributes_after_load(tmp_path):
+    from kemplab.io import load_group, save_group
+    cases = [(z(37), (0, True, "cyclic", (37,), "Z37")),
+             (make_product(make_product(z(2), z(3)), z(4), "T"),
+              (0, True, "product", (2, 3, 4), "T")),
+             (make_product(z(6), z(4)), (0, True, "product", (6, 4), "Z6xZ4")),
+             (s3_z20(), (0, False, "table", None, "S3xZ20")),
+             (relabelled_z3(), (2, True, "table", None, "T3"))]
+    for g, expect in cases:
+        path = tmp_path / "g.group"
+        save_group(str(path), g)
+        assert pins(load_group(str(path))) == expect
+
+
+# -- regressions -------------------------------------------------------------
+
+def test_nestings_of_one_product_are_one_model(tmp_path):
+    from kemplab import Subset
+    from kemplab.io import load_group, save_group
+    left = make_product(make_product(z(2), z(3)), z(5))
+    right = make_product(z(2), make_product(z(3), z(5)))
+    assert left.same_model(right) and right.same_model(left)
+    union = Subset.from_indices(left, [0, 7]).union(Subset.from_indices(right, [7, 29]))
+    assert union.indices().tolist() == [0, 7, 29]
+    path = tmp_path / "g.group"
+    save_group(str(path), right)
+    assert load_group(str(path)).same_model(right)
+
+
+def test_index_space_bound_on_every_constructor():
+    # no array is allocated: the bound is checked before anything is built
+    with pytest.raises(PreconditionError) as exc:
+        make_cyclic(2 ** 31 + 5)
+    assert exc.value.name == "index space"
+    assert make_cyclic(2 ** 31).order == 2 ** 31
+
+
+def test_table_models_do_not_alias_their_input():
+    table, _ = symmetric_group_table(3)
+    g = make_from_table(table, "S3")
+    assert g.mul(1, 2) == 4
+    table[1, 2] = table[1, 3]
+    assert g.mul(1, 2) == 4 and g.full_table().tolist() == S3_TABLE
+    for model in (g, quotient(s3_z20(), cyclic_subgroup(s3_z20(), 1))[0]):
+        with pytest.raises(ValueError):
+            model.full_table()[1, 2] = 0
+        assert model.full_table().tolist() == S3_TABLE
+
+
+def test_validate_witnesses_on_unchecked_tables():
+    # one-factor models built without make_from_table's checks; the
+    # witnesses are those of the earlier per-element scans
+    from kemplab.groups import GroupModel
+
+    def zt(n):
+        return np.add.outer(np.arange(n), np.arange(n)) % n
+
+    def verdict(table, inv):
+        try:
+            return GroupModel([(len(table), table, inv, 0)], "unchecked").validate()
+        except AxiomViolation as exc:
+            return exc.axiom, exc.witness
+
+    t = zt(5)
+    t[2, 0] = 3
+    assert verdict(t, -np.arange(5) % 5) == ("identity", (2,))
+    inv = -np.arange(5) % 5
+    inv[3] = 1
+    assert verdict(zt(5), inv) == ("inverse", (3,))
+    t = zt(4)
+    t[1, 1], t[1, 2] = 3, 2
+    assert verdict(t, -np.arange(4) % 4) == ("associativity", (1, 1, 2))
+    assert verdict(zt(4), -np.arange(4) % 4) is True
