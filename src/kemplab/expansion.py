@@ -293,12 +293,11 @@ def direction_cover(g_model: GroupModel, a: Subset, h: Subgroup, eps) -> Directi
     if not 0 < eps < 1:
         raise PreconditionError("0 < eps < 1", f"got {eps}")
     cid, _ = coset_partition(g_model, h, "left")
-    counts = np.bincount(cid[a.indices()], minlength=int(cid.max()) + 1)
-    # keep fibers with (length/|H|)^2 >= eps, exactly
-    keep = {c for c in np.flatnonzero(counts)
-            if Fraction(int(counts[c]), h.order) ** 2 >= eps}
-    core_idx = [int(x) for x in a.indices() if int(cid[int(x)]) in keep]
-    core = Subset.from_indices(g_model, core_idx) if core_idx else Subset.empty(g_model)
+    counts = np.bincount(cid[a.indices()], minlength=int(cid.max()) + 1).astype(object)
+    # keep fibers with (length/|H|)^2 >= eps, exactly, in Python ints:
+    # c^2 eps.den >= eps.num |H|^2
+    keep = counts * counts * eps.denominator >= eps.numerator * h.order ** 2
+    core = Subset.from_members(g_model, a.members & keep[cid])
     hs = Subset.from_indices(g_model, h.members)
     target = fast_product_set(g_model, core, hs) if core.size else Subset.empty(g_model)
 
@@ -339,7 +338,7 @@ def _random_union_of_cosets(g_model, rng, subgroups):
     j = int(rng.integers(1, max(2, n_cosets // 2 + 1)))
     reps = rng.choice(g_model.order, size=j, replace=False)
     cid, _ = coset_partition(g_model, h, "left")
-    return Subset.from_indices(g_model, np.flatnonzero(np.isin(cid, cid[reps])))
+    return Subset.from_members(g_model, np.isin(cid, cid[reps]))
 
 
 def _random_generated_subgroup(g_model, rng):
@@ -415,8 +414,7 @@ def nonexpander_probe(g_model: GroupModel, k, budget: int, seed: int = 0) -> Pro
 
 def period_stabilizer(g_model: GroupModel, s: Subset) -> Subgroup:
     """H(S) = {g : gS = S}, the left stabilizer subgroup of S."""
-    members = [g for g in range(g_model.order)
-               if s.translate(g, "left").mask == s.mask]
+    members = [g for g in range(g_model.order) if s.translate(g, "left") == s]
     return Subgroup(g_model, tuple(sorted(members)))
 
 

@@ -60,24 +60,20 @@ def level_set(g_model: GroupModel, h: Subgroup, a: Subset, r, s,
     if not (0 <= r < s <= 1):
         raise PreconditionError("0 <= r < s <= 1", f"got ({r}, {s}]")
     qmodel, proj = quotient(g_model, h)
-    counts = np.bincount(proj[a.indices()], minlength=qmodel.order).astype(np.int64)
+    counts = np.bincount(proj[a.indices()], minlength=qmodel.order).astype(object)
+    # (r, s] in counts: r*|H| < count <= s*|H|, cleared of denominators
+    # in Python ints, so no product overflows
     hsize = h.order
-    # (r, s] in counts: r*|H| < count <= s*|H|
-    lo = r * hsize    # strict
-    hi = s * hsize    # inclusive
-    sel = np.flatnonzero([(lo < Fraction(int(c)) <= hi) for c in counts])
-    if sel.size == 0:
-        return Subset.empty(g_model), Subset.empty(qmodel), qmodel, proj
-    pi_level = Subset.from_indices(qmodel, sel)
-    in_level = np.isin(proj[a.indices()], sel)
-    a_level = Subset.from_indices(g_model, a.indices()[in_level])
-    return a_level, pi_level, qmodel, proj
+    in_level = ((counts * r.denominator > r.numerator * hsize)
+                & (counts * s.denominator <= s.numerator * hsize))
+    a_level = Subset.from_members(g_model, a.members & in_level[proj])
+    return a_level, Subset.from_members(qmodel, in_level), qmodel, proj
 
 
 def projection_subset(g_model: GroupModel, h: Subgroup, a: Subset):
     """pi(A) in the quotient model (all cosets meeting A)."""
     qmodel, proj = quotient(g_model, h)
-    return Subset.from_indices(qmodel, np.unique(proj[a.indices()])), qmodel, proj
+    return Subset.from_indices(qmodel, proj[a.indices()]), qmodel, proj
 
 
 @dataclass
@@ -117,11 +113,11 @@ def _level_telescope(qmodel, h_order: int,
     two above-half sizes always reaches h.
     """
     t_half = h_order // 2 + 1
-    pb_half = Subset.from_indices(qmodel, np.flatnonzero(b_counts >= t_half))
-    pa_all = Subset.from_indices(qmodel, np.flatnonzero(a_counts >= 1))
+    pb_half = Subset.from_members(qmodel, b_counts >= t_half)
+    pa_all = Subset.from_members(qmodel, a_counts >= 1)
     total = 0
     if pb_half.size:
-        levels = [Subset.from_indices(qmodel, np.flatnonzero(a_counts >= t))
+        levels = [Subset.from_members(qmodel, a_counts >= t)
                   for t in range(1, t_half + 1)]
         prods = [fast_product_set(qmodel, lv, pb_half).size if lv.size else 0
                  for lv in levels]
@@ -130,8 +126,8 @@ def _level_telescope(qmodel, h_order: int,
             fresh = prods[t - 1] - prods[t]
             total += cyclic_kneser_bound(t, t_half, h_order) * fresh
     for u in range(1, t_half):
-        bu = Subset.from_indices(qmodel, np.flatnonzero(b_counts >= u))
-        bu1 = Subset.from_indices(qmodel, np.flatnonzero(b_counts >= u + 1))
+        bu = Subset.from_members(qmodel, b_counts >= u)
+        bu1 = Subset.from_members(qmodel, b_counts >= u + 1)
         pu = fast_product_set(qmodel, pa_all, bu).size if bu.size else 0
         pu1 = fast_product_set(qmodel, pa_all, bu1).size if bu1.size else 0
         total += u * (pu - pu1)
@@ -221,11 +217,8 @@ def transfer(g_model: GroupModel, h: Subgroup, a: Subset, b: Subset,
     a_hi, pa_hi, _, _ = level_set(g_model, h, a, half, 1)
     b_hi, pb_hi, _, _ = level_set(g_model, h, b, half, 1)
 
-    hsize = h.order
-    pull_a = Subset.from_indices(
-        g_model, np.flatnonzero(np.isin(proj, pa_hi.indices())))
-    pull_b = Subset.from_indices(
-        g_model, np.flatnonzero(np.isin(proj, pb_hi.indices())))
+    pull_a = Subset.from_members(g_model, pa_hi.members[proj])
+    pull_b = Subset.from_members(g_model, pb_hi.members[proj])
     gap_a = a.symmetric_difference(pull_a).measure()
     gap_b = b.symmetric_difference(pull_b).measure()
 

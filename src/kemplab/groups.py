@@ -237,7 +237,7 @@ def make_from_table(table, label: Optional[str] = None) -> GroupModel:
     witness triple.
     """
     table = np.asarray(table, dtype=np.int64)
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+    if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
         raise PreconditionError("table shape", f"got {table.shape}")
     n = table.shape[0]
     if table.min() < 0 or table.max() >= n:

@@ -313,9 +313,9 @@ def _step_candidates(g_model, work: Subset, other: Subset, side: str,
                 continue
             cand = work.intersect(shifted) if mode == "intersect" \
                 else work.union(shifted)
-            if cand.size == 0 or cand.size == work.size or cand.mask in seen:
+            if cand.size == 0 or cand.size == work.size or cand in seen:
                 continue
-            seen.add(cand.mask)
+            seen.add(cand)
             out.append(cand)
     return out
 
@@ -339,10 +339,13 @@ def _denoise(g_model, work, other, d_target, rounds, side,
     def score(s: Subset):
         return (*_cleanliness(g_model, s), abs(s.measure() - d_target))
 
+    # a state's integer mask, computed once, is both its key in ``seen``
+    # and the heap's last tie-break
     start_score = score(work)
-    heap = [(start_score, 0, work.mask, work)]
+    mask = work.mask
+    heap = [(start_score, 0, mask, work)]
     best = (start_score, 0, work)
-    seen = {work.mask}
+    seen = {mask}
     evals = 1
     while heap and evals < eval_budget:
         (clean, _nviol, dist), depth, _, cur = heapq.heappop(heap)
@@ -351,15 +354,16 @@ def _denoise(g_model, work, other, d_target, rounds, side,
         if depth >= 24:
             continue
         for cand in _step_candidates(g_model, cur, other, side, d_target):
-            if cand.mask in seen:
+            mask = cand.mask
+            if mask in seen:
                 continue
-            seen.add(cand.mask)
+            seen.add(mask)
             sc = score(cand)
             evals += 1
             key = (sc, depth + 1, cand)
             if (sc, depth + 1) < (best[0], best[1]):
                 best = key
-            heapq.heappush(heap, (sc, depth + 1, cand.mask, cand))
+            heapq.heappush(heap, (sc, depth + 1, mask, cand))
             if evals >= eval_budget:
                 break
     clean, _nviol, dist = best[0]

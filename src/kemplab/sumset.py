@@ -1,12 +1,14 @@
 """Exact product sets, translate overlaps, and indicator convolutions.
 
-Subsets are bitmasks over element indices (Python ints double as
-arbitrary-width bitsets), so unions, intersections, and popcounts are
-exact and cheap.  ``product_set`` is the deliberately naive reference
-kernel; ``fast_product_set`` must agree with it bit for bit and gets
-there through cyclic-shift ORs, row ORs, or an FFT convolution whose
-output is thresholded exactly and re-verified wherever a bin lands near
-the 0/1 boundary.
+A subset is a read-only boolean membership vector over element indices,
+so unions, intersections, and counts are exact numpy operations and the
+kernels' boolean outputs become subsets without conversion.  ``mask``
+renders the vector as a Python int (bit i is element i), the form the
+subset files store.  ``product_set`` is the deliberately naive
+reference kernel; ``fast_product_set`` must agree with it bit for bit
+and gets there through row ORs or an FFT convolution whose output is
+thresholded exactly and re-verified wherever a bin lands near the 0/1
+boundary.
 """
 
 from __future__ import annotations
@@ -26,88 +28,91 @@ ROW_CACHE_LIMIT = 4096
 FFT_GUARD = 0.25
 
 
-def _mask_from_indices(indices, n: int) -> int:
-    m = 0
-    for i in indices:
-        i = int(i)
-        if not 0 <= i < n:
-            raise PreconditionError("index range", f"{i} not in 0..{n-1}")
-        m |= 1 << i
-    return m
-
-
-def _indices_from_mask(mask: int, n: int) -> np.ndarray:
-    if mask == 0:
-        return np.empty(0, dtype=np.int64)
-    b = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    bits = np.unpackbits(b, bitorder="little")[:n]
-    return np.flatnonzero(bits).astype(np.int64)
-
-
 class Subset:
-    """An exact subset of a group model: bitmask plus cached popcount."""
+    """An exact subset of a group model: read-only membership vector plus size."""
 
-    __slots__ = ("parent", "mask", "size")
+    __slots__ = ("parent", "members", "size")
 
     def __init__(self, parent: GroupModel, mask: int):
-        if mask < 0 or mask >> parent.order:
+        n = parent.order
+        if mask < 0 or mask >> n:
             raise PreconditionError("mask width", "mask has bits beyond the group order")
-        self.parent = parent
-        self.mask = mask
-        self.size = mask.bit_count()
+        raw = np.frombuffer(int(mask).to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        s = Subset.from_members(parent, np.unpackbits(raw, count=n, bitorder="little"))
+        self.parent, self.members, self.size = s.parent, s.members, s.size
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def from_members(cls, parent: GroupModel, members) -> "Subset":
+        """The subset whose membership vector is a read-only copy of ``members``."""
+        members = np.array(members, dtype=bool)
+        if members.shape != (parent.order,):
+            raise PreconditionError("membership length",
+                                    f"shape {members.shape} for order {parent.order}")
+        members.setflags(write=False)
+        s = object.__new__(cls)
+        s.parent, s.members, s.size = parent, members, int(np.count_nonzero(members))
+        return s
+
+    @classmethod
     def from_indices(cls, parent: GroupModel, indices) -> "Subset":
-        return cls(parent, _mask_from_indices(indices, parent.order))
+        n = parent.order
+        idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices),
+                         dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= n)]
+        if bad.size:
+            raise PreconditionError("index range", f"{bad[0]} not in 0..{n-1}")
+        members = np.zeros(n, dtype=bool)
+        members[idx] = True
+        return cls.from_members(parent, members)
 
     @classmethod
     def empty(cls, parent: GroupModel) -> "Subset":
-        return cls(parent, 0)
+        return cls.from_members(parent, np.zeros(parent.order, dtype=bool))
 
     @classmethod
     def full(cls, parent: GroupModel) -> "Subset":
-        return cls(parent, (1 << parent.order) - 1)
+        return cls.from_members(parent, np.ones(parent.order, dtype=bool))
 
     @classmethod
     def singleton(cls, parent: GroupModel, g: int) -> "Subset":
-        return cls(parent, 1 << g)
+        return cls.from_indices(parent, [g])
 
     # -- basics -----------------------------------------------------------
+
+    @property
+    def mask(self) -> int:
+        """The members as an integer bitset: bit i is set iff element i is in."""
+        return int.from_bytes(np.packbits(self.members, bitorder="little").tobytes(), "little")
 
     def measure(self) -> Fraction:
         return Fraction(self.size, self.parent.order)
 
     def indices(self) -> np.ndarray:
-        return _indices_from_mask(self.mask, self.parent.order)
-
-    def bool_array(self) -> np.ndarray:
-        out = np.zeros(self.parent.order, dtype=bool)
-        out[self.indices()] = True
-        return out
+        return np.flatnonzero(self.members)
 
     def contains(self, g: int) -> bool:
-        return bool((self.mask >> g) & 1)
+        return bool(self.members[g])
 
     def union(self, other: "Subset") -> "Subset":
         self.parent.require_same(other.parent)
-        return Subset(self.parent, self.mask | other.mask)
+        return Subset.from_members(self.parent, self.members | other.members)
 
     def intersect(self, other: "Subset") -> "Subset":
         self.parent.require_same(other.parent)
-        return Subset(self.parent, self.mask & other.mask)
+        return Subset.from_members(self.parent, self.members & other.members)
 
     def difference(self, other: "Subset") -> "Subset":
         self.parent.require_same(other.parent)
-        return Subset(self.parent, self.mask & ~other.mask)
+        return Subset.from_members(self.parent, self.members & ~other.members)
 
     def symmetric_difference(self, other: "Subset") -> "Subset":
         self.parent.require_same(other.parent)
-        return Subset(self.parent, self.mask ^ other.mask)
+        return Subset.from_members(self.parent, self.members ^ other.members)
 
     def complement(self) -> "Subset":
-        return Subset(self.parent, ~self.mask & ((1 << self.parent.order) - 1))
+        return Subset.from_members(self.parent, ~self.members)
 
     def inverse(self) -> "Subset":
         """{a^-1 : a in A}; same measure by unimodularity."""
@@ -117,23 +122,17 @@ class Subset:
     def translate(self, g: int, side: str = "left") -> "Subset":
         """gA (left) or Ag (right), exact."""
         gm = self.parent
-        if gm.kind == "cyclic":
-            n = gm.order
-            s = g % n
-            full = (1 << n) - 1
-            m = ((self.mask << s) | (self.mask >> (n - s))) & full if s else self.mask
-            return Subset(gm, m)
         idx = self.indices()
         if side == "left":
             return Subset.from_indices(gm, gm.mul_vec(g, idx))
         return Subset.from_indices(gm, gm.rmul_vec(idx, g))
 
     def __eq__(self, other):
-        return isinstance(other, Subset) and self.mask == other.mask \
+        return isinstance(other, Subset) and np.array_equal(self.members, other.members) \
             and self.parent.same_model(other.parent)
 
     def __hash__(self):
-        return hash((self.parent.order, self.mask))
+        return hash((self.parent.order, self.members.tobytes()))
 
     def __repr__(self):
         return f"Subset(|A|={self.size}/{self.parent.order})"
@@ -149,7 +148,7 @@ def bohr_preimage(g_model: GroupModel, chi: Character, arc: Arc) -> Subset:
     if arc.length == 0:
         return Subset.empty(g_model)
     offsets = (chi.image - arc.start) % arc.modulus
-    return Subset.from_indices(g_model, np.flatnonzero(offsets < arc.length))
+    return Subset.from_members(g_model, offsets < arc.length)
 
 
 # -- product sets ----------------------------------------------------------
@@ -159,12 +158,12 @@ def product_set(g_model: GroupModel, a: Subset, b: Subset) -> Subset:
     """AB = {ab} by the naive double loop; the oracle kernel."""
     g_model.require_same(a.parent)
     g_model.require_same(b.parent)
-    mask = 0
+    out = np.zeros(g_model.order, dtype=bool)
     for x in a.indices():
         x = int(x)
         for y in b.indices():
-            mask |= 1 << g_model.mul(x, int(y))
-    return Subset(g_model, mask)
+            out[g_model.mul(x, int(y))] = True
+    return Subset.from_members(g_model, out)
 
 
 def _mul_table_row(g_model: GroupModel, a: int) -> np.ndarray:
@@ -202,32 +201,24 @@ def fast_product_set(g_model: GroupModel, a: Subset, b: Subset) -> Subset:
 
     shape = g_model.cyclic_shape
     if shape is not None and g_model.order >= 32:
-        fa = np.zeros(shape, dtype=np.float64)
-        fb = np.zeros(shape, dtype=np.float64)
-        fa.ravel()[a.indices()] = 1.0
-        fb.ravel()[b.indices()] = 1.0
+        fa = a.members.reshape(shape).astype(np.float64)
+        fb = b.members.reshape(shape).astype(np.float64)
         axes = tuple(range(len(shape)))
         conv = np.fft.irfftn(np.fft.rfftn(fa) * np.fft.rfftn(fb), s=shape, axes=axes).ravel()
         support = conv > 0.5
         suspicious = np.flatnonzero(np.abs(conv - np.rint(conv)) > FFT_GUARD)
         if suspicious.size:
             a_idx = a.indices()
-            b_nd = fb.astype(bool)
+            b_nd = b.members.reshape(shape)
             for x in suspicious:
                 support[x] = _exact_bin_count(shape, a_idx, b_nd, int(x)) >= 1
-        return Subset.from_indices(g_model, np.flatnonzero(support))
-
-    if g_model.kind == "cyclic":
-        out = 0
-        for x in a.indices():
-            out |= b.translate(int(x)).mask
-        return Subset(g_model, out)
+        return Subset.from_members(g_model, support)
 
     out = np.zeros(g_model.order, dtype=bool)
     b_idx = b.indices()
     for x in a.indices():
         out[_mul_table_row(g_model, int(x))[b_idx]] = True
-    return Subset.from_indices(g_model, np.flatnonzero(out))
+    return Subset.from_members(g_model, out)
 
 
 def cyclic_sumset_batch(n: int, a_indices, b_masks: np.ndarray, dtype=np.uint32) -> np.ndarray:
@@ -264,7 +255,7 @@ def translate_overlap(g_model: GroupModel, a: Subset, g: int, side: str = "left"
     """mu(A inter gA) or mu(A inter Ag), the pseudometric's core term."""
     g_model.require_same(a.parent)
     shifted = a.translate(g, side)
-    return g_model.measure((a.mask & shifted.mask).bit_count())
+    return g_model.measure(int(np.count_nonzero(a.members & shifted.members)))
 
 
 @dataclass(frozen=True)
@@ -295,30 +286,32 @@ def overlap_profile(g_model: GroupModel, a: Subset, side: str = "left") -> Overl
     """Exact overlap counts for every translate.
 
     For cyclic-shape groups the counts are an autocorrelation computed
-    by FFT and rounded; float64 error at the supported sizes is orders
-    of magnitude below 1/2, and the Fubini identity is asserted as the
-    exactness certificate (with a loop fallback if it ever failed).
+    by FFT and rounded; any bin farther than FFT_GUARD from an integer
+    is recounted exactly, as in fast_product_set, and the Fubini
+    identity is asserted as a second certificate (with a loop fallback
+    if it ever failed).
     """
     g_model.require_same(a.parent)
     n = g_model.order
     shape = g_model.cyclic_shape
 
+    def exact(g: int) -> int:
+        return np.count_nonzero(a.members & a.translate(g, side).members)
+
     if shape is not None and n >= 64:
-        fa = np.zeros(shape, dtype=np.float64)
-        fa.ravel()[a.indices()] = 1.0
-        spec = np.fft.rfftn(fa)
+        spec = np.fft.rfftn(a.members.reshape(shape).astype(np.float64))
         axes = tuple(range(len(shape)))
         corr = np.fft.irfftn(spec * np.conj(spec), s=shape, axes=axes).ravel()
         counts = np.rint(corr).astype(np.int64)
         # left overlap |A inter gA| with g decomposed over the shape:
         # autocorrelation bins are indexed by the translate itself.
+        for g in np.flatnonzero(np.abs(corr - counts) > FFT_GUARD):
+            counts[g] = exact(int(g))
         profile = OverlapProfile(g_model, side, counts, a.size)
         if profile.verify_mean_identity():
             return profile
 
-    counts = np.zeros(n, dtype=np.int64)
-    for g in range(n):
-        counts[g] = (a.mask & a.translate(g, side).mask).bit_count()
+    counts = np.array([exact(g) for g in range(n)], dtype=np.int64)
     profile = OverlapProfile(g_model, side, counts, a.size)
     if not profile.verify_mean_identity():
         raise AssertionError("overlap mean identity failed; kernel bug")

@@ -285,3 +285,19 @@ def test_golden_nonexpander_probe_s3_z20():
     assert rep.best_indices == tuple(range(0, 120, 2))
     assert rep.trace == [(5, "1/2")]
     assert (rep.evaluations, rep.best_measure) == (40, Fraction(1, 2))
+
+
+def test_direction_cover_core_is_exact_at_the_threshold():
+    # fibers of 6: eps = 1/4 keeps count 3 ((3/6)^2 = 1/4) and eps just
+    # above 1/4 drops it; 3^2 * 2^72 is past 2^63
+    from kemplab.expansion import direction_cover
+    g = make_product(make_cyclic(10), make_cyclic(6))
+    h = cyclic_subgroup(g, 1)
+    a = Subset.from_indices(g, [c * 6 + j for c in range(10) for j in range(c % 7)])
+    cid = np.arange(60) // 6
+    for eps, least in ((Fraction(1, 4), 3), (Fraction(1, 4) + Fraction(1, 2 ** 72), 4),
+                       (Fraction(1, 4) - Fraction(1, 2 ** 72), 3), (Fraction(1, 36), 1)):
+        cover = direction_cover(g, a, h, eps)
+        keep = {c for c in range(10) if c % 7 >= least}
+        assert set(cover.core.indices().tolist()) == {int(x) for x in a.indices()
+                                                       if cid[x] in keep}

@@ -248,3 +248,23 @@ def test_level_set_projection_kemperman_sampled():
             assert prod.size >= min(pa.size + pb.size - 1, q.order)
             checked += 1
     assert checked > 20
+
+
+def test_level_set_is_exact_at_boundaries_with_huge_denominators():
+    # fibers of 4: r = 1/2 excludes count 2 and r = 1/2 - 2^-70 keeps it;
+    # count * 2^71 is past 2^63, so only exact integers tell them apart
+    g = make_product(make_cyclic(12), make_cyclic(4))
+    h = cyclic_subgroup(g, 1)
+    a = Subset.from_indices(g, np.random.default_rng(11).choice(48, 25, replace=False))
+    tiny = Fraction(1, 2 ** 70)
+    for r, s in ((Fraction(1, 2), 1), (Fraction(1, 2) - tiny, 1),
+                 (0, Fraction(1, 2)), (0, Fraction(1, 2) - tiny),
+                 (Fraction(1, 4) + tiny, Fraction(3, 4)), (Fraction(1, 4), 1 - tiny)):
+        lvl, plvl, q, proj = level_set(g, h, a, r, s)
+        counts = np.bincount(proj[a.indices()], minlength=q.order)
+        want = {c for c in range(q.order) if r * 4 < int(counts[c]) <= s * 4}
+        assert set(plvl.indices().tolist()) == want
+        assert set(lvl.indices().tolist()) == {int(x) for x in a.indices() if proj[x] in want}
+    lvl_hi, _, _, _ = level_set(g, h, a, Fraction(1, 2) - tiny, 1)
+    lvl_top, _, _, _ = level_set(g, h, a, Fraction(1, 2), 1)
+    assert lvl_hi.size > lvl_top.size

@@ -454,3 +454,10 @@ def test_validate_witnesses_on_unchecked_tables():
     t[1, 1], t[1, 2] = 3, 2
     assert verdict(t, -np.arange(4) % 4) == ("associativity", (1, 1, 2))
     assert verdict(zt(4), -np.arange(4) % 4) is True
+
+
+def test_make_from_table_rejects_an_empty_table():
+    for table in (np.zeros((0, 0), dtype=int), []):
+        with pytest.raises(PreconditionError) as exc:
+            make_from_table(table)
+        assert exc.value.name == "table shape"

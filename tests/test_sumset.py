@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kemplab import (Subset, fast_product_set, make_cyclic, make_from_table,
                      make_product, overlap_profile, product_set,
                      symmetric_group_table, translate_overlap)
-from kemplab.errors import GroupMismatch
+from kemplab.errors import GroupMismatch, PreconditionError
 from kemplab.sumset import cyclic_sumset_batch, popcount_u32
 
 
@@ -188,3 +188,133 @@ def test_row_cache_not_stale_after_model_id_reuse():
         z6 = make_from_table(z6_table, "Z6")
         a, b = Subset.from_indices(z6, a_idx), Subset.from_indices(z6, b_idx)
         assert fast_product_set(z6, a, b).mask == product_set(z6, a, b).mask
+
+
+def _s3():
+    return make_from_table(symmetric_group_table(3)[0], "S3")
+
+
+SET_MODELS = {g.label: g for g in (make_cyclic(97),
+                                   make_product(make_cyclic(48), make_cyclic(5)),
+                                   _s3(), make_product(_s3(), make_cyclic(20)))}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(SET_MODELS)), st.data())
+def test_subset_algebra_matches_set_oracle(name, data):
+    g = SET_MODELS[name]
+    n = g.order
+    xs = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+    ys = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+    x = data.draw(st.integers(0, n - 1))
+    a, b = Subset.from_indices(g, xs), Subset.from_indices(g, ys)
+
+    def elements(s):
+        assert s.size == len(s.indices())
+        return set(s.indices().tolist())
+
+    # three constructors, two renderings, one set
+    mask = sum(1 << y for y in xs)
+    vec = np.zeros(n, dtype=bool)
+    vec[list(xs)] = True
+    assert a.indices().tolist() == sorted(xs) and a.size == len(xs)
+    assert a.mask == mask and a.members.tolist() == vec.tolist()
+    assert Subset(g, mask) == a and Subset(g, mask).mask == mask
+    assert Subset.from_members(g, vec) == a and Subset.from_members(g, vec).mask == mask
+    assert [a.contains(y) for y in range(n)] == vec.tolist()
+
+    assert elements(a.union(b)) == xs | ys
+    assert elements(a.intersect(b)) == xs & ys
+    assert elements(a.difference(b)) == xs - ys
+    assert elements(a.symmetric_difference(b)) == xs ^ ys
+    assert elements(a.complement()) == set(range(n)) - xs
+    assert elements(a.inverse()) == {g.inv(y) for y in xs}
+    assert elements(a.translate(x, "left")) == {g.mul(x, y) for y in xs}
+    assert elements(a.translate(x, "right")) == {g.mul(y, x) for y in xs}
+
+    assert (a == b) == (xs == ys)
+    twin = Subset.from_indices(g, sorted(xs, reverse=True))
+    assert twin == a and hash(twin) == hash(a)
+    assert len({a, b, twin}) == (1 if xs == ys else 2)
+
+
+def test_members_are_a_private_read_only_copy():
+    z = make_cyclic(10)
+    vec = np.zeros(10, dtype=bool)
+    vec[[1, 4]] = True
+    s = Subset.from_members(z, vec)
+    vec[7] = True
+    assert s.indices().tolist() == [1, 4] and s.size == 2 and s.mask == 0b10010
+    for t in (s, Subset.from_indices(z, [2]), Subset(z, 0b101), s.union(s),
+              Subset.empty(z), Subset.full(z), s.translate(3)):
+        with pytest.raises(ValueError):
+            t.members[0] = True
+    assert s.indices().tolist() == [1, 4]
+    assert Subset.from_members(z, s.members) == s      # a read-only source is fine
+
+
+def test_out_of_range_input_raises_precondition():
+    z = make_cyclic(10)
+    for bad in ([10], [-1], [3, 12], np.array([0, 99])):
+        with pytest.raises(PreconditionError) as exc:
+            Subset.from_indices(z, bad)
+        assert exc.value.name == "index range"
+    for vec in (np.zeros(9, dtype=bool), np.ones(11, dtype=bool),
+                np.zeros((2, 5), dtype=bool), []):
+        with pytest.raises(PreconditionError) as exc:
+            Subset.from_members(z, vec)
+        assert exc.value.name == "membership length"
+    for mask in (1 << 10, -1):
+        with pytest.raises(PreconditionError) as exc:
+            Subset(z, mask)
+        assert exc.value.name == "mask width"
+
+
+def _overlap_oracle(g, a, side):
+    """|A inter xA| (left) or |A inter Ax| (right) for every x, read off
+    the full multiplication table."""
+    table, idx = g.full_table(), a.indices()
+    hits = a.members[table[:, idx]] if side == "left" else a.members[table[idx, :]].T
+    return hits.sum(axis=1).tolist()
+
+
+FFT_SHAPES = {"Z64": (64,), "Z97": (97,), "Z2^6": (2,) * 6, "Z8xZ12": (8, 12),
+              "Z4xZ4xZ6": (4, 4, 6), "Z48xZ5": (48, 5)}
+
+
+def _cyclic_product(shape):
+    g = make_cyclic(shape[0])
+    for n in shape[1:]:
+        g = make_product(g, make_cyclic(n))
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(FFT_SHAPES)), st.sampled_from(["left", "right"]), st.data())
+def test_overlap_profile_fft_path_matches_loop_oracle(name, side, data):
+    g = _cyclic_product(FFT_SHAPES[name])
+    assert g.order >= 64                     # the FFT route is taken
+    xs = data.draw(st.sets(st.integers(0, g.order - 1), max_size=g.order))
+    a = Subset.from_indices(g, xs)
+    prof = overlap_profile(g, a, side)
+    assert prof.counts.tolist() == _overlap_oracle(g, a, side)
+    assert prof.verify_mean_identity()
+
+
+def test_overlap_profile_recounts_bins_off_the_integer_grid(monkeypatch):
+    # opposite errors of 0.6 in two bins round to +1 and -1 and keep the
+    # Fubini sum, so only the per-bin guard can catch them
+    irfftn = np.fft.irfftn
+
+    def skewed(*args, **kwargs):
+        out = irfftn(*args, **kwargs)
+        out.flat[5] += 0.6
+        out.flat[9] -= 0.6
+        return out
+
+    monkeypatch.setattr(np.fft, "irfftn", skewed)
+    for shape in ((97,), (8, 12)):
+        g = _cyclic_product(shape)
+        a = Subset.from_indices(g, range(0, g.order, 3))
+        for side in ("left", "right"):
+            assert overlap_profile(g, a, side).counts.tolist() == _overlap_oracle(g, a, side)
