@@ -91,9 +91,12 @@ def cmd_gen(args):
     seed = int(kv.get("seed", ("0", 0))[0])
     rng = np.random.default_rng(seed)
 
-    def perturb(s, k, arc_start, arc_len):
+    def perturb(s, key, k, arc_start, arc_len):
         if k == 0:
             return s
+        if k > s.size:
+            raise ParseError(kv[key][1], f"{key} = {k} exceeds the {s.size} cells "
+                                         f"available to drop")
         drop = rng.choice(s.indices(), size=k, replace=False)
         out = s.difference(Subset.from_indices(g, drop))
         if strata == "trim":
@@ -101,11 +104,14 @@ def cmd_gen(args):
         cols = [(arc_start + arc_len) % m, (arc_start + arc_len + 1) % m]
         avail = [x for x in range(g.order)
                  if not s.contains(x) and int(image[x]) in cols]
+        if k > len(avail):
+            raise ParseError(kv[key][1], f"{key} = {k} exceeds the {len(avail)} cells "
+                                         f"available to add next to the arc")
         add = rng.choice(avail, size=k, replace=False)
         return out.union(Subset.from_indices(g, add))
 
-    a = perturb(a, noise_a, sa, la)
-    b = perturb(b, noise_b, sb, lb)
+    a = perturb(a, "noise-a", noise_a, sa, la)
+    b = perturb(b, "noise-b", noise_b, sb, lb)
 
     prefix = args.out_prefix
     kio.save_group(prefix + ".group", g)

@@ -30,6 +30,8 @@ from .pseudometric import (AlphaResult, PseudometricTable, SignContext,
 from .sumset import Subset, bohr_preimage, fast_product_set
 
 PAIR_EXHAUSTIVE_LIMIT = 256
+DENOISE_EVAL_BUDGET = 240   # candidate sets the denoiser scores before it stops
+STEP_PROBE = 10             # translates offered per target overlap in one step
 
 
 @dataclass
@@ -199,13 +201,11 @@ def kernel_norm_check(d: PseudometricTable, chi: Character, lam):
 
     Returns (holds, witness or None)."""
     lam = Fraction(lam)
-    bound = 2 * lam / 3
-    for g in chi.kernel_members():
-        g = int(g)
-        nrm = d.norm(g)
-        if nrm <= lam and not nrm < bound:
-            return False, g
-    return True, None
+    kern = chi.kernel_members()
+    v = d.norm_num[kern]
+    # ||g|| < 2 lambda/3 iff v < -cut(-2 lambda/3)
+    bad = kern[(v <= d.cut(lam)) & (v >= -d.cut(-2 * lam / 3))]
+    return (False, int(bad[0])) if bad.size else (True, None)
 
 
 # -- the end-to-end pipeline -------------------------------------------------
@@ -220,7 +220,6 @@ class PipelineConfig:
     target_modulus: Optional[int] = None
     alpha_mode: str = "auto"                  # auto | exhaustive | beam
     seed: int = 0
-    denoise_rounds: int = 4
 
     def normalized(self):
         self.delta = Fraction(self.delta)
@@ -246,18 +245,15 @@ class FitResult:
 def _auto_lambda(d: PseudometricTable, g_model: GroupModel) -> Fraction:
     """rho/32, rounded up to the norm grid, enlarged until the ball
     strictly exceeds the kernel and generates the group."""
-    norms = sorted(set(int(v) for v in d.norm_num if v > 0))
-    if not norms:
+    norms = np.unique(d.norm_num[d.norm_num > 0])
+    if norms.size == 0:
         raise StageError("lambda policy", "pseudometric is identically zero")
-    target = Fraction(d.radius_num, 32 * d.den)
-    candidates = [Fraction(v, d.den) for v in norms]
-    start = 0
-    while start < len(candidates) - 1 and candidates[start] < target:
-        start += 1
-    for lam in candidates[start:]:
-        reach = cayley_bfs(g_model, d.ball_indices(lam).tolist())
+    # the first norm v with v/den >= rho/32, i.e. not v < -cut(-rho/32)
+    start = min(int(np.searchsorted(norms, -d.cut(-d.radius / 32))), norms.size - 1)
+    for v in norms[start:].tolist():
+        reach = cayley_bfs(g_model, np.flatnonzero(d.norm_num <= v).tolist())
         if len(reach) == g_model.order:
-            return lam
+            return Fraction(v, d.den)
     raise StageError("lambda policy", "no ball of any radius generates the group")
 
 
@@ -277,7 +273,7 @@ def _cleanliness(g_model, s: Subset):
 
 
 def _step_candidates(g_model, work: Subset, other: Subset, side: str,
-                     d_target: Fraction, probe: int = 10):
+                     d_target: Fraction):
     """Successor sets of one translate intersection or union step.
 
     Strays die under the right intersection and holes heal under small
@@ -304,7 +300,7 @@ def _step_candidates(g_model, work: Subset, other: Subset, side: str,
     for t, mode in targets:
         scaled = np.abs(prof.counts * t.denominator - t.numerator * n)
         order = np.argsort(scaled, kind="stable")
-        for g in order[:probe]:
+        for g in order[:STEP_PROBE]:
             g = int(g)
             if g == g_model.identity:
                 continue
@@ -320,18 +316,16 @@ def _step_candidates(g_model, work: Subset, other: Subset, side: str,
     return out
 
 
-def _denoise(g_model, work, other, d_target, rounds, side,
-             eval_budget: Optional[int] = None):
+def _denoise(g_model, work, other, d_target, side):
     """Best-first search for a working set of measure ~d_target whose
     pseudometric is exactly linear, via translate intersections/unions.
 
     Each accepted step applies the submodular doubling, so a state at
     depth k certifies the 2^k excess bound.  Deterministic: states are
-    ranked by (cleanliness, distance to target, depth, mask).
+    ranked by (cleanliness, distance to target, depth, mask), and the
+    search stops after DENOISE_EVAL_BUDGET scored states.
     """
     import heapq
-    if eval_budget is None:
-        eval_budget = 60 * max(1, rounds)
     n = g_model.order
     slack = Fraction(1, n)
     base_gamma = max(deficit(g_model, work, other).excess, Fraction(0))
@@ -347,7 +341,7 @@ def _denoise(g_model, work, other, d_target, rounds, side,
     best = (start_score, 0, work)
     seen = {mask}
     evals = 1
-    while heap and evals < eval_budget:
+    while heap and evals < DENOISE_EVAL_BUDGET:
         (clean, _nviol, dist), depth, _, cur = heapq.heappop(heap)
         if clean == 0 and dist <= slack:
             return cur, base_gamma * 2 ** depth, True
@@ -364,7 +358,7 @@ def _denoise(g_model, work, other, d_target, rounds, side,
             if (sc, depth + 1) < (best[0], best[1]):
                 best = key
             heapq.heappush(heap, (sc, depth + 1, mask, cand))
-            if evals >= eval_budget:
+            if evals >= DENOISE_EVAL_BUDGET:
                 break
     clean, _nviol, dist = best[0]
     return best[2], base_gamma * 2 ** best[1], clean == 0 and dist <= slack
@@ -408,11 +402,9 @@ def inverse_pipeline(g_model: GroupModel, a: Subset, b: Subset, delta,
         target = min(a.measure(), b.measure(), Fraction(1, 12))
     shrunk = target < min(a.measure(), b.measure())
     if shrunk:
-        a3, gamma_abs_a, clean_a = _denoise(g_model, a, b, target,
-                                            config.denoise_rounds, "left")
+        a3, gamma_abs_a, clean_a = _denoise(g_model, a, b, target, "left")
         _require_near_target(a3, target, "a")
-        b3, gamma_abs_b, clean_b = _denoise(g_model, b, a3, target,
-                                            config.denoise_rounds, "right")
+        b3, gamma_abs_b, clean_b = _denoise(g_model, b, a3, target, "right")
         _require_near_target(b3, target, "b")
         diag["shrink"] = {"target": target,
                           "mu_a3": a3.measure(), "mu_b3": b3.measure(),

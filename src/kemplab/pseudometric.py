@@ -6,6 +6,12 @@ by the norm vector ||g|| = d(id, g) and all entries share the
 denominator N.  Everything downstream (signs, total weights, sequences,
 the loop-weight unit) is integer arithmetic on the numerators.
 
+One comparison rule: a norm numerator v is compared with a rational
+bound p/q through the integer cut floor(p * den / q)
+(``PseudometricTable.cut``): v/den <= p/q iff v <= cut, v/den > p/q
+iff v > cut, and v/den < p/q iff v < -cut(-p/q).  Cuts are Python ints,
+so no product overflows; every returned norm stays an exact Fraction.
+
 Interval convention: I(gamma) is treated as closed, so gamma = 0 turns
 every near-equality of the theory into an exact equality test.
 """
@@ -26,6 +32,9 @@ from .groups import (GroupModel, Subgroup, cayley_bfs, cayley_word,
 from .sumset import Subset, overlap_profile
 
 TRIANGLE_EXHAUSTIVE_LIMIT = 256
+ALPHA_STATE_CAP = 2_000_000     # exhaustive alpha sweep: states before giving up
+BEAM_WIDTH = 64                 # beam alpha search: kept paths per depth
+BEAM_RESTARTS = 8               # beam alpha search: seeded restarts
 
 
 class PseudometricTable:
@@ -79,15 +88,20 @@ class PseudometricTable:
             num[i] = self.row_num(i)
         return num
 
-    def ball_indices(self, hi, lo=None) -> np.ndarray:
-        """Ascending indices g with lo < ||g|| <= hi (lo = None: no lower end).
+    def cut(self, bound) -> int:
+        """floor(bound * den), the integer form of a rational norm bound.
 
-        Integer comparisons only: for an integer numerator v,
-        v/den <= p/q iff v*q <= p*den iff v <= floor(p*den/q).
+        For a numerator v, v/den <= bound iff v <= cut(bound) and
+        v/den > bound iff v > cut(bound); a strict upper bound is the
+        same rule on the negated bound: v/den < bound iff v < -cut(-bound).
         """
-        mask = self.norm_num <= math.floor(Fraction(hi) * self.den)
+        return math.floor(Fraction(bound) * self.den)
+
+    def ball_indices(self, hi, lo=None) -> np.ndarray:
+        """Ascending indices g with lo < ||g|| <= hi (lo = None: no lower end)."""
+        mask = self.norm_num <= self.cut(hi)
         if lo is not None:
-            mask &= self.norm_num > math.floor(Fraction(lo) * self.den)
+            mask &= self.norm_num > self.cut(lo)
         return np.flatnonzero(mask)
 
     def __repr__(self):
@@ -252,26 +266,26 @@ def gamma_linearity(d: PseudometricTable, gamma) -> LinearityReport:
     violations = 0
     norms = d.norm_num
     idx = g.elements()
-    gn, gd = gamma.numerator, gamma.denominator
-    # exact window test, all integers: (nu+nv)/den < rho/den - gamma
-    window_rhs = d.radius_num * gd - gn * den
+    gamma_cut = d.cut(gamma)
+    # (nu + nv)/den < rho - gamma iff nu + nv < radius_num - cut(gamma)
+    window = d.radius_num - gamma_cut
     for u in range(n):
         pn = norms[g.mul_vec(u, idx)]
         nu = int(norms[u])
         sums = nu + norms
-        keep = sums * gd < window_rhs
+        keep = sums < window
         if not keep.any():
             continue
         dev = np.minimum(np.abs(pn - sums), np.abs(pn - np.abs(nu - norms)))
         dev = np.where(keep, dev, -1)
         checked += int(keep.sum())
-        violations += int(np.count_nonzero(dev * gd > gn * den))
+        violations += int(np.count_nonzero(dev > gamma_cut))
         v = int(dev.argmax())
         if dev[v] > worst_num:
             worst_num = int(dev[v])
             worst_triple = (g.identity, u, g.mul(u, v))
-    worst = Fraction(worst_num, den)
-    return LinearityReport(worst <= gamma, worst, worst_triple, checked, violations)
+    return LinearityReport(worst_num <= gamma_cut, Fraction(worst_num, den),
+                           worst_triple, checked, violations)
 
 
 @dataclass
@@ -292,8 +306,8 @@ def gamma_monotonicity(d: PseudometricTable, gamma) -> MonotonicityReport:
     worst_num, worst_g = 0, None
     if xs.size and dev.max() > 0:
         worst_num, worst_g = int(dev.max()), int(xs[dev.argmax()])
-    worst = Fraction(worst_num, d.den)
-    return MonotonicityReport(worst <= 4 * gamma, worst, worst_g, int(xs.size))
+    return MonotonicityReport(worst_num <= d.cut(4 * gamma), Fraction(worst_num, d.den),
+                              worst_g, int(xs.size))
 
 
 @dataclass
@@ -322,8 +336,13 @@ def path_monotone_check(d: PseudometricTable, gamma) -> PathMonotoneReport:
     """
     gamma = Fraction(gamma)
     g = d.group
-    den = d.den
     rho = d.radius
+    gamma_cut = d.cut(gamma)
+    # the window rho/4 <= ||g0|| <= rho/2, closed at both ends: the grid
+    # convention for I(rho/2) \ I(rho/4) (a norm quantum can exceed the
+    # half-open window's width)
+    window_lo, window_hi = -d.cut(-rho / 4), d.cut(rho / 2)
+    mono_cut = d.cut(rho / 2 - 2 * gamma)
     status = {}
     failed = None
     for h in distinct_cyclic_subgroups(g):
@@ -338,31 +357,27 @@ def path_monotone_check(d: PseudometricTable, gamma) -> PathMonotoneReport:
         for j in exps:
             pows = base[(j * np.arange(k)) % k]
             pnorm = d.norm_num[pows]
-            if all(Fraction(int(v), den) <= gamma for v in pnorm):
+            if pnorm.max() <= gamma_cut:
                 verdict = "zero-path"
                 break
-            # closed upper end: the grid convention for I(rho/2) \ I(rho/4)
-            # (a norm quantum can exceed the half-open window's width)
-            candidates = [i for i in range(1, k)
-                          if rho / 4 <= Fraction(int(pnorm[i]), den) <= rho / 2]
-            for k0 in candidates:
+            in_window = (pnorm >= window_lo) & (pnorm <= window_hi)
+            for k0 in np.flatnonzero(in_window[1:]) + 1:
                 g0 = int(pows[k0])
                 sq = g.mul(g0, g0)
-                if Fraction(abs(int(d.norm_num[sq]) - 2 * int(pnorm[k0])), den) > gamma:
+                if abs(int(d.norm_num[sq]) - 2 * int(pnorm[k0])) > gamma_cut:
                     continue
                 inv_pow = g.inv_vec(pows[:k0 + 1])
                 dist = d.norm_num[g.mul_arr(inv_pow,
                                             np.full(k0 + 1, g0, dtype=np.int64))]
                 dev = np.abs(pnorm[:k0 + 1] + dist - int(pnorm[k0]))
-                if all(Fraction(int(v), den) <= gamma for v in dev):
+                if dev.max() <= gamma_cut:
                     verdict = "window"
                     break
             if verdict is not None:
                 break
         if verdict is None:
-            mono_window = rho / 2 - 2 * gamma
-            enters = any(gamma < Fraction(int(v), den) <= mono_window
-                         for v in d.norm_num[base])
+            bnorm = d.norm_num[base]
+            enters = ((bnorm > gamma_cut) & (bnorm <= mono_cut)).any()
             verdict = "vacuous" if not enters else "failed"
         status[canon] = verdict
         if verdict == "failed" and failed is None:
@@ -381,23 +396,23 @@ class SignContext:
     ``references`` holds N(rho/4 - gamma) \\ N(4 gamma) in ascending
     order and g0 is its first element; well-definedness of total
     weights w.r.t. the reference is a theorem that total_weight
-    re-verifies with a second reference.
+    re-verifies with a second reference.  The gamma bounds are held as
+    integer cuts (``PseudometricTable.cut``), computed once.
     """
 
     def __init__(self, d: PseudometricTable, gamma):
         self.d = d
         self.gamma = Fraction(gamma)
+        self.zero_cut = d.cut(4 * self.gamma)          # the 4 gamma zero band
+        self.window_cut = d.cut(self.gamma)            # sum / difference windows
+        # ||g1|| + ||g2|| < rho - gamma iff n1 + n2 < range_cut
+        self.range_cut = d.radius_num - self.window_cut
+        self.weight_cut = d.cut(d.radius / 4 - self.gamma)
         self.references = d.ball_indices(d.radius / 4 - self.gamma, lo=4 * self.gamma)
         if self.references.size == 0:
             raise MinimumResolution(
                 "N(rho/4 - gamma) \\ N(4 gamma) is empty; no sign reference exists")
         self.g0 = int(self.references[0])
-
-    def norm(self, g: int) -> Fraction:
-        return self.d.norm(g)
-
-    def sign(self, g1: int, g2: int) -> int:
-        return relative_sign(self, g1, g2)
 
 
 def relative_sign(ctx: SignContext, g1: int, g2: int) -> int:
@@ -408,16 +423,15 @@ def relative_sign(ctx: SignContext, g1: int, g2: int) -> int:
     falls in the gap between the windows (impossible when min > 4 gamma,
     guarded anyway).  Precondition: ||g1|| + ||g2|| < rho - gamma.
     """
-    d, gamma = ctx.d, ctx.gamma
-    den = d.den
-    n1, n2 = int(d.norm_num[g1]), int(d.norm_num[g2])
-    if not Fraction(n1 + n2, den) < d.radius - gamma:
+    d = ctx.d
+    n1, n2 = d.norm_num.item(g1), d.norm_num.item(g2)
+    if not n1 + n2 < ctx.range_cut:
         raise PreconditionError("sign range", "||g1|| + ||g2|| must be < rho - gamma")
-    if Fraction(min(n1, n2), den) <= 4 * gamma:
+    if min(n1, n2) <= ctx.zero_cut:
         return 0
-    p = int(d.norm_num[d.group.mul(g1, g2)])
-    in_sum = Fraction(abs(p - (n1 + n2)), den) <= gamma
-    in_diff = Fraction(abs(p - abs(n1 - n2)), den) <= gamma
+    p = d.norm_num.item(d.group.mul(g1, g2))
+    in_sum = abs(p - (n1 + n2)) <= ctx.window_cut
+    in_diff = abs(p - abs(n1 - n2)) <= ctx.window_cut
     if in_sum and in_diff:
         raise AmbiguousSign(f"windows overlap at ({g1}, {g2}); min norm too small")
     if in_sum:
@@ -425,7 +439,7 @@ def relative_sign(ctx: SignContext, g1: int, g2: int) -> int:
     if in_diff:
         return -1
     raise AmbiguousSign(
-        f"||g1 g2|| = {Fraction(p, den)} lies between the sum and difference windows")
+        f"||g1 g2|| = {Fraction(p, d.den)} lies between the sum and difference windows")
 
 
 def signed_weight(ctx: SignContext, seq, reference: Optional[int] = None) -> Fraction:
@@ -446,9 +460,8 @@ def total_weight(ctx: SignContext, seq) -> Fraction:
     well-definedness corollary and raises.
     """
     d = ctx.d
-    hi = d.radius / 4 - ctx.gamma
     for g in seq:
-        if not d.norm(int(g)) <= hi:
+        if d.norm_num.item(int(g)) > ctx.weight_cut:
             raise PreconditionError("weight range",
                                     f"entry {g} outside N(rho/4 - gamma)")
     t = abs(signed_weight(ctx, seq))
@@ -484,32 +497,44 @@ class LambdaSequence:
         p = g.identity
         for e in entries:
             p = g.mul(p, e)
-        in_ball = all(d.norm(e) <= lam for e in entries)
-        irr = in_ball and _windows_leave_ball(d, lam, entries)
+        cut = d.cut(lam)
+        in_ball = all(d.norm_num.item(e) <= cut for e in entries)
+        irr = in_ball and is_irreducible(d, lam, entries)
         return cls(d, lam, entries, p, in_ball, irr)
 
 
-def _windows_leave_ball(d: PseudometricTable, lam: Fraction, entries) -> bool:
+def _window_in_ball(d: PseudometricTable, cut: int, tail, a: int):
+    """The shortest window ending at ``a`` whose product lies in N(lambda).
+
+    The windows are tail[-k:] + (a,) for k = 1..len(tail), so with the
+    (up to) three entries before ``a`` in ``tail`` they are the windows
+    of length 2..4.  Returns (length, product), or None when every
+    window leaves the ball; ``cut`` is ``d.cut(lambda)``.
+    """
     g = d.group
-    n = len(entries)
-    for i in range(n):
-        p = entries[i]
-        for j in range(1, 4):
-            if i + j >= n:
-                break
-            p = g.mul(p, entries[i + j])
-            if d.norm(p) <= lam:
-                return False
-    return True
+    p = a
+    for k in range(1, len(tail) + 1):
+        p = g.mul(tail[-k], p)
+        if d.norm_num.item(p) <= cut:
+            return k + 1, p
+    return None
+
+
+def _lambda_entries(d: PseudometricTable, cut: int, seq) -> list:
+    """The entries as ints, each required to lie in N(lambda)."""
+    seq = [int(e) for e in seq]
+    for e in seq:
+        if d.norm_num.item(e) > cut:
+            raise PreconditionError("lambda-sequence", f"entry {e} outside N(lambda)")
+    return seq
 
 
 def is_irreducible(d: PseudometricTable, lam, seq) -> bool:
     """Window products of length 2..4 all leave N(lambda)."""
-    lam = Fraction(lam)
-    for e in seq:
-        if not d.norm(int(e)) <= lam:
-            raise PreconditionError("lambda-sequence", f"entry {e} outside N(lambda)")
-    return _windows_leave_ball(d, lam, tuple(int(e) for e in seq))
+    cut = d.cut(lam)
+    seq = _lambda_entries(d, cut, seq)
+    return not any(_window_in_ball(d, cut, seq[max(0, k - 3):k], seq[k])
+                   for k in range(1, len(seq)))
 
 
 def _check_lambda_range(d: PseudometricTable, lam: Fraction, gamma: Fraction,
@@ -537,29 +562,20 @@ def irreducible_concatenation(ctx: SignContext, lam, seq):
     d, gamma = ctx.d, ctx.gamma
     lam = Fraction(lam)
     _check_lambda_range(d, lam, gamma, 4)
-    seq = [int(e) for e in seq]
-    for e in seq:
-        if not d.norm(e) <= lam:
-            raise PreconditionError("lambda-sequence", f"entry {e} outside N(lambda)")
-    t_orig = signed_weight(ctx, seq) if seq else Fraction(0)
+    cut = d.cut(lam)
+    seq = _lambda_entries(d, cut, seq)
+    t_orig = signed_weight(ctx, seq)
     n0 = len(seq)
-    g = d.group
-    changed = True
-    while changed:
-        changed = False
-        for j in (2, 3, 4):
-            for i in range(0, len(seq) - j + 1):
-                p = seq[i]
-                for k in range(1, j):
-                    p = g.mul(p, seq[i + k])
-                if d.norm(p) <= lam:
-                    seq[i:i + j] = [p]
-                    changed = True
-                    break
-            if changed:
-                break
+    while True:
+        # the shortest in-ball window, leftmost first: least (length, end)
+        hits = [(w[0], k, w[1]) for k in range(1, len(seq))
+                if (w := _window_in_ball(d, cut, seq[max(0, k - 3):k], seq[k]))]
+        if not hits:
+            break
+        length, k, p = min(hits)
+        seq[k + 1 - length:k + 1] = [p]
     drift = 22 * (n0 - len(seq)) * gamma
-    t_new = signed_weight(ctx, seq) if seq else Fraction(0)
+    t_new = signed_weight(ctx, seq)
     if abs(t_new - t_orig) > drift:
         raise AssertionError("concatenation drift exceeded 22 (n-m) gamma")
     return LambdaSequence.build(d, lam, seq), drift
@@ -614,9 +630,13 @@ def _loop_bounds(d: PseudometricTable, lam: Fraction):
     return lower, upper, n_max
 
 
-def _entry_signs(ctx: SignContext, entries: np.ndarray) -> np.ndarray:
-    return np.array([relative_sign(ctx, ctx.g0, int(g)) for g in entries],
-                    dtype=np.int64)
+def _letters(ctx: SignContext, lam: Fraction):
+    """The search alphabet N(lambda) \\ {identity}, ascending, and each
+    letter's signed weight numerator s(g0, a) ||a||."""
+    d = ctx.d
+    letters = [x for x in d.ball_indices(lam).tolist() if x != d.group.identity]
+    return letters, {a: relative_sign(ctx, ctx.g0, a) * d.norm_num.item(a)
+                     for a in letters}
 
 
 def _power_loop_candidates(ctx: SignContext, lam: Fraction, n_max: int):
@@ -638,8 +658,7 @@ def _power_loop_candidates(ctx: SignContext, lam: Fraction, n_max: int):
     return out
 
 
-def _alpha_exhaustive(ctx: SignContext, lam: Fraction, n_max: int,
-                      state_cap: int = 2_000_000):
+def _alpha_exhaustive(ctx: SignContext, lam: Fraction, n_max: int):
     """Layered sweep over (product, suffix<=3, signed weight) states.
 
     Irreducibility only constrains windows of length <= 4, so the last
@@ -648,18 +667,10 @@ def _alpha_exhaustive(ctx: SignContext, lam: Fraction, n_max: int,
     """
     d = ctx.d
     g = d.group
-    alphabet = [x for x in d.ball_indices(lam).tolist() if x != g.identity]
-    signs = {a: relative_sign(ctx, ctx.g0, a) for a in alphabet}
-    lam_num, lam_den = lam.numerator, lam.denominator
-
-    def in_ball_num(v: int) -> bool:
-        return v * lam_den <= lam_num * d.den
-
+    alphabet, weight = _letters(ctx, lam)
+    cut = d.cut(lam)
     best = None          # (abs weight numerator, entries tuple)
-    start = {}
-    for a in alphabet:
-        key = (a, (a,))
-        start[key] = {signs[a] * int(d.norm_num[a]): (None, None, a)}
+    start = {(a, (a,)): {weight[a]: (None, None, a)} for a in alphabet}
     layers = [start]
     states = start
     total_states = sum(len(v) for v in states.values())
@@ -668,20 +679,12 @@ def _alpha_exhaustive(ctx: SignContext, lam: Fraction, n_max: int,
         nxt = {}
         for (prod, suffix), tmap in states.items():
             for a in alphabet:
-                # windows ending at the new entry must leave the ball:
-                # check products suffix[back:] * a for lengths 2..4
-                ok = True
-                p = a
-                for back in range(len(suffix) - 1, -1, -1):
-                    p = g.mul(suffix[back], p)
-                    if in_ball_num(int(d.norm_num[p])):
-                        ok = False
-                        break
-                if not ok:
+                # windows ending at the new entry must leave the ball
+                if _window_in_ball(d, cut, suffix, a):
                     continue
                 new_prod = g.mul(prod, a)
                 new_suffix = (suffix + (a,))[-3:]
-                contrib = signs[a] * int(d.norm_num[a])
+                contrib = weight[a]
                 cell = nxt.setdefault((new_prod, new_suffix), {})
                 for t, _meta in tmap.items():
                     nt = t + contrib
@@ -696,7 +699,7 @@ def _alpha_exhaustive(ctx: SignContext, lam: Fraction, n_max: int,
                                                    ((prod, suffix), t, a))
                             best = (cand, entries)
         total_states += sum(len(v) for v in nxt.values())
-        if total_states > state_cap:
+        if total_states > ALPHA_STATE_CAP:
             complete = False
             break
         layers.append(nxt)
@@ -723,25 +726,18 @@ def _reconstruct(layers, prev_depth, meta):
     return tuple(entries)
 
 
-def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int,
-                width: int, restarts: int):
+def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
     """Seeded beam search; the result is a certified upper bound."""
     d = ctx.d
     g = d.group
     rng_master = np.random.default_rng(seed)
-    alphabet = sorted((x for x in d.ball_indices(lam).tolist() if x != g.identity),
-                      key=lambda a: (-int(d.norm_num[a]), a))
-    signs = {a: relative_sign(ctx, ctx.g0, a) for a in alphabet}
-    lam_num, lam_den = lam.numerator, lam.denominator
-
-    def in_ball_num(v: int) -> bool:
-        return v * lam_den <= lam_num * d.den
-
+    letters, weight = _letters(ctx, lam)
+    alphabet = sorted(letters, key=lambda a: (-d.norm_num.item(a), a))
+    cut = d.cut(lam)
     best = None
-    for r in range(restarts):
+    for r in range(BEAM_RESTARTS):
         rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
-        beam = [((a,), a, signs[a] * int(d.norm_num[a])) for a in alphabet]
-        beam = beam[:width]
+        beam = [((a,), a, weight[a]) for a in alphabet[:BEAM_WIDTH]]
         for _depth in range(2, n_max + 1):
             cand = []
             for suffix_path, prod, t in beam:
@@ -749,18 +745,10 @@ def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int,
                     [alphabet[int(i)] for i in rng.choice(len(alphabet),
                                                           size=8, replace=False)]
                 for a in proposals:
-                    tail = suffix_path[-3:]
-                    p = a
-                    ok = True
-                    for back in range(len(tail) - 1, -1, -1):
-                        p = g.mul(tail[back], p)
-                        if in_ball_num(int(d.norm_num[p])):
-                            ok = False
-                            break
-                    if not ok:
+                    if _window_in_ball(d, cut, suffix_path[-3:], a):
                         continue
                     np_prod = g.mul(prod, a)
-                    nt = t + signs[a] * int(d.norm_num[a])
+                    nt = t + weight[a]
                     path = suffix_path + (a,)
                     if np_prod == g.identity and len(path) >= 2:
                         key = (abs(nt), path)
@@ -771,14 +759,14 @@ def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int,
                 break
             cand.sort(key=lambda s: (abs(s[2]) + 2 * int(d.norm_num[s[1]]),
                                      s[0]))
-            beam = cand[:width]
+            beam = cand[:BEAM_WIDTH]
     if best is None:
         return None
     return (Fraction(best[0], d.den), best[1])
 
 
 def alpha_lambda(d: PseudometricTable, lam, gamma, mode: str = "exhaustive",
-                 seed: int = 0, beam_width: int = 64, restarts: int = 8) -> AlphaResult:
+                 seed: int = 0) -> AlphaResult:
     """Minimum |total weight| over irreducible identity-product loops.
 
     Degenerate single-entry loops (the bare identity) are excluded; with
@@ -803,7 +791,7 @@ def alpha_lambda(d: PseudometricTable, lam, gamma, mode: str = "exhaustive",
             candidates.append((Fraction(best[0], d.den),
                                LambdaSequence.build(d, lam, best[1])))
     elif mode == "beam":
-        found = _alpha_beam(ctx, lam, n_max, seed, beam_width, restarts)
+        found = _alpha_beam(ctx, lam, n_max, seed)
         if found is not None:
             candidates.append((found[0], LambdaSequence.build(d, lam, found[1])))
     else:

@@ -104,6 +104,21 @@ def test_parse_error_carries_line_number(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [
+    # a cyclic spec has one cell per column: two cells to add next to the arc
+    ("kind: cyclic\nn: 101\narc-a: 0 40\narc-b: 0 50\nnoise-a: 4\n",
+     "line 5: noise-a = 4 exceeds the 2 cells available to add next to the arc"),
+    ("kind: cyclic\nn: 97\narc-a: 0 3\narc-b: 0 5\nnoise-b: 6\nstrata: trim\n",
+     "line 5: noise-b = 6 exceeds the 5 cells available to drop"),
+])
+def test_gen_rejects_noise_beyond_available_cells(tmp_path, capsys, spec, message):
+    path = tmp_path / "plant.spec"
+    path.write_text(spec)
+    code = main(["gen", "--spec", str(path), "--out-prefix", str(tmp_path / "p")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_report_determinism(planted_files, capsys):
     args = ["deficit", "--group", str(planted_files[1]) + ".group",
             "--set-a", str(planted_files[1]) + ".a",

@@ -1,5 +1,6 @@
 """Almost homomorphisms, character snapping, and the pipeline."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +10,12 @@ from kemplab import (AlmostHom, Arc, FiberRigidityReport, PipelineConfig,
                      Subset, alpha_lambda,
                      almost_hom, bohr_preimage, cyclic_subgroup,
                      enumerate_characters, fiberwise_rigidity_report,
-                     inverse_pipeline, kernel_norm_check, make_cyclic,
+                     gamma_linearity, inverse_pipeline, kernel_norm_check, make_cyclic,
                      make_product, pseudometric_from_set, snap_to_character)
 from kemplab.errors import (NoCharacterWithinBound, PreconditionError,
                             StageError)
+from kemplab.groups import Character
+from kemplab.homextract import _auto_lambda
 
 
 def planted(la=10, lb=12):
@@ -239,3 +242,35 @@ def test_golden_fiberwise_rigidity_demo_instance():
     rep = fiberwise_rigidity_report(g, h, a1, b, Fraction(1, 48))
     assert rep == FiberRigidityReport(Fraction(1), True, Fraction(1, 24), Fraction(0),
                                       Fraction(1, 24), 0, 200, 20, 0)
+
+
+# -- golden outputs at gamma > 0, frozen before the integer norm cuts -------
+
+def noisy_arc(n, length):
+    # an arc with its last cell moved one step out; worst violation 2 cells
+    z = make_cyclic(n)
+    d = pseudometric_from_set(z, Subset.from_indices(z, list(range(length - 1)) + [length]))
+    return z, d, gamma_linearity(d, 0).worst_violation
+
+
+def test_golden_almost_hom_noisy_arc():
+    z, d, gamma = noisy_arc(3000, 1462)
+    lam = Fraction(89, 3000)
+    res = alpha_lambda(d, lam, gamma, mode="beam", seed=1)
+    hom = almost_hom(d, lam, gamma, alpha_result=res)
+    assert (hom.alpha, hom.q, hom.q_exhaustive, hom.max_path_len) == \
+        (Fraction(199, 200), Fraction(23, 3000), False, 17)
+    digest = hashlib.sha256(hom.values_num.astype(np.int64).tobytes()).hexdigest()[:16]
+    assert digest == "7c5dd335c5433fa8"
+
+
+def test_golden_kernel_norm_and_auto_lambda_noisy_arcs():
+    z, d, gamma = noisy_arc(3000, 1462)
+    lam = Fraction(89, 3000)
+    got = [kernel_norm_check(d, Character(z, m, (np.arange(3000) * f) % m, True), lam)
+           for f, m in ((1, 3000), (1500, 3000), (1000, 3000), (3, 20), (100, 3000))]
+    assert got == [(True, None)] + [(False, 60)] * 4
+    assert _auto_lambda(d, z) == Fraction(23, 1500)
+    for n, length in ((400, 185), (200, 95)):
+        z, d, _ = noisy_arc(n, length)
+        assert _auto_lambda(d, z) == Fraction(3, 200)

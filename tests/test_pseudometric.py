@@ -1,5 +1,6 @@
 """Pseudometric axioms, near-linearity, signs, sequences, loop weights."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,9 @@ from kemplab import (PseudometricTable, SignContext, Subset, alpha_lambda,
                      path_monotone_check, pseudometric_from_set,
                      relative_sign, symmetric_group_table, total_weight,
                      verify_pseudometric)
-from kemplab.errors import EmptyInput, PreconditionError
+from kemplab.errors import AmbiguousSign, EmptyInput, PreconditionError
+from kemplab.groups import cayley_bfs, cayley_word
+from kemplab.pseudometric import _alpha_exhaustive, _loop_bounds
 
 
 def arc_table(n=360, length=160):
@@ -430,3 +433,165 @@ def test_verify_catches_failures_above_exhaustive_limit():
     rep = verify_pseudometric(z, num)
     assert _flags(rep) == (True, True, True, False, False)
     assert rep.witness == ("left invariance", 296)
+
+
+# -- golden outputs at gamma > 0, frozen before the integer norm cuts -------
+#
+# A noisy arc (the last cell moved one step out) has worst linearity
+# violation 2 cells; gamma is set to it, so the zero band, the sign
+# windows and the lambda cuts all sit strictly inside the norm grid.
+
+def noisy_arc(n, length):
+    z = make_cyclic(n)
+    a = Subset.from_indices(z, list(range(length - 1)) + [length])
+    d = pseudometric_from_set(z, a)
+    return z, d, gamma_linearity(d, 0).worst_violation
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def _sign_or_error(ctx, x, y):
+    try:
+        return relative_sign(ctx, x, y)
+    except AmbiguousSign:
+        return "ambiguous"
+    except PreconditionError:
+        return "precondition"
+
+
+NOISY400_STATUS = {1: "window", 2: "window", 4: "window", 5: "window", 8: "window",
+                   10: "window", 16: "window", 20: "window", 25: "window",
+                   40: "window", 50: "window", 80: "window", 100: "vacuous",
+                   200: "vacuous"}
+
+
+def test_golden_path_monotone_noisy_arc():
+    z, d, gamma = noisy_arc(400, 185)
+    assert gamma == Fraction(2, 400)
+    rep = path_monotone_check(d, gamma)
+    assert rep.generator_status == NOISY400_STATUS
+    assert (rep.hypotheses_ok, rep.failed_generator, rep.certified_monotonicity,
+            rep.conclusion_ok) == (True, None, Fraction(1, 25), True)
+    c = rep.conclusion
+    assert (c.holds, c.worst_violation, c.worst_element, c.checked) == \
+        (True, Fraction(1, 200), 1, 121)
+
+
+@pytest.mark.parametrize("gamma, refs, counts, grid_digest, ref_digest", [
+    (Fraction(1, 200), (9, 391, 72),
+     {"-1": 3080, "0": 1402, "1": 3080, "precondition": 10394},
+     "7149bcc1a9a7d3f2", "181fa3b7a230dca0"),
+    (Fraction(1, 400), (5, 395, 82),
+     {"-1": 3306, "0": 956, "1": 3364, "precondition": 10330},
+     "aac33807c87512e8", "5070648cd9daef34"),
+])
+def test_golden_relative_sign_noisy_arc(gamma, refs, counts, grid_digest, ref_digest):
+    # gamma = the worst violation, and half of it (below the fitted gamma)
+    z, d, _ = noisy_arc(400, 185)
+    ctx = SignContext(d, gamma)
+    r = ctx.references.tolist()
+    assert (r[0], r[-1], len(r)) == refs
+    pts = list(range(0, 400, 3))
+    out = [_sign_or_error(ctx, x, y) for x in pts for y in pts]
+    assert {str(k): out.count(k) for k in set(out)} == counts
+    assert _digest(out) == grid_digest
+    assert _digest([_sign_or_error(ctx, x, y) for x in r for y in r]) == ref_digest
+
+
+def test_golden_weights_and_irreducibility_noisy_arc():
+    z, d, gamma = noisy_arc(400, 185)
+    ctx = SignContext(d, gamma)
+    assert [total_weight(ctx, s) for s in ([9, 20, 391], [40, 41, 42, 43], [5, 6, 7])] \
+        == [Fraction(1, 20), Fraction(83, 200), 0]
+    lam = Fraction(9, 400)
+    assert [is_irreducible(d, lam, s) for s in ([9, 9], [9, 391, 9], [8, 1], [9, 9, 9, 9])] \
+        == [True, False, False, True]
+
+
+def test_golden_concatenation_noisy_arc():
+    z, d, gamma = noisy_arc(400, 185)
+    ctx = SignContext(d, gamma)
+    lam = Fraction(9, 400)
+    # BFS words over N(lambda): already irreducible, nothing merges
+    parent = cayley_bfs(z, [x for x in d.ball_indices(lam).tolist() if x != 0])
+    res = []
+    for x in range(1, 400):
+        seq, drift = irreducible_concatenation(ctx, lam, cayley_word(parent, x))
+        res.append((seq.entries, seq.irreducible, drift))
+    assert res[200] == ((3,) + (9,) * 22, True, 0)
+    assert _digest(res) == "f64b4079d9f994f3"
+    # random words over the ball: 59 of 60 merge, none exceeds the drift bound
+    letters = [x for x in d.ball_indices(lam).tolist() if x != 0]
+    rng = np.random.default_rng(0)
+    res = []
+    for _ in range(60):
+        seq = [letters[int(i)] for i in rng.integers(0, len(letters), int(rng.integers(2, 13)))]
+        out, drift = irreducible_concatenation(ctx, lam, seq)
+        res.append((out.entries, drift))
+    assert res[:4] == [((392, 398), Fraction(99, 100)),
+                       ((391, 395, 393, 391, 392, 398), Fraction(11, 100)),
+                       ((396,), Fraction(11, 25)), ((392,), Fraction(77, 100))]
+    assert sum(drift > 0 for _, drift in res) == 59
+    assert _digest(res) == "84469f6305e2d103"
+
+
+def test_golden_alpha_searches_noisy_arc():
+    # alpha_lambda itself needs 44 gamma < lambda < rho/16 - gamma, which
+    # at gamma = 2 cells takes N ~ 3000 and a 178-letter alphabet: fine for
+    # the beam, far too slow for the exhaustive sweep, which is called
+    # directly on a small instance (every letter in the zero band)
+    z, d, gamma = noisy_arc(200, 95)
+    ctx = SignContext(d, gamma)
+    lam = Fraction(3, 200)
+    n_max = _loop_bounds(d, lam)[2]
+    assert n_max == 114
+    assert _alpha_exhaustive(ctx, lam, n_max) == ((0, (2,) + (3,) * 66), True)
+
+    z, d, gamma = noisy_arc(3000, 1462)
+    res = alpha_lambda(d, Fraction(89, 3000), gamma, mode="beam", seed=1)
+    assert (res.alpha, res.exhaustive_complete, res.range_notice, res.n_max,
+            res.lower, res.upper) == (Fraction(199, 200), False, False, 67,
+                                      Fraction(89, 2852), Fraction(356, 179))
+    assert res.witness.entries == NOISY3000_BEAM_WITNESS
+
+
+NOISY3000_BEAM_WITNESS = (
+    71, 22, 68, 23, 70, 42, 80, 17, 83, 24, 70, 20, 70, 40, 63, 30, 85, 7, 87, 8,
+    83, 29, 67, 25, 83, 26, 78, 34, 74, 84, 70, 70, 87, 57, 79, 89, 73, 89, 69, 83,
+    80, 85, 84, 82, 77, 88, 64, 77, 34)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PROPERTY_MODELS)), st.data())
+def test_norm_cut_matches_fraction_comparison(kind, data):
+    # bounds on the norm grid and 2^-70 to either side: bound * den is
+    # then past 2^63, so only exact integers tell the three apart
+    g = PROPERTY_MODELS[kind]
+    members = data.draw(st.sets(st.integers(0, g.order - 1), min_size=1))
+    d = pseudometric_from_set(g, Subset.from_indices(g, sorted(members)))
+    v = data.draw(st.integers(-1, g.order + 1))
+    tiny = Fraction(1, 2 ** 70)
+    for bound in (Fraction(v, d.den) - tiny, Fraction(v, d.den), Fraction(v, d.den) + tiny):
+        cut, strict = d.cut(bound), -d.cut(-bound)
+        for x in range(g.order):
+            norm, num = d.norm(x), int(d.norm_num[x])
+            assert (num <= cut) == (norm <= bound)
+            assert (num > cut) == (norm > bound)
+            assert (num < strict) == (norm < bound)
+        assert d.ball_indices(bound).tolist() == \
+            [x for x in range(g.order) if d.norm(x) <= bound]
+
+
+def test_linearity_at_a_gamma_with_a_huge_denominator():
+    # gamma = 2/360 -+ 2^-70 sits strictly between grid values: each side
+    # reports exactly what the grid value at or below it reports
+    z = make_cyclic(360)
+    d = pseudometric_from_set(z, Subset.from_indices(z, list(range(40)) + list(range(170, 190))))
+    tiny = Fraction(1, 2 ** 70)
+    below = _linearity_fields(gamma_linearity(d, Fraction(2, 360) - tiny))
+    above = _linearity_fields(gamma_linearity(d, Fraction(2, 360) + tiny))
+    assert below == _linearity_fields(gamma_linearity(d, Fraction(1, 360)))
+    assert above == _linearity_fields(gamma_linearity(d, Fraction(2, 360)))
+    assert below != above
