@@ -21,7 +21,7 @@ from . import io as kio
 from .errors import KemplabError, ParseError
 from .expansion import deficit, nonexpander_probe
 from .fibers import transfer
-from .groups import Arc, cyclic_subgroup, enumerate_characters, make_cyclic, make_product
+from .groups import Arc, Character, cyclic_subgroup, make_cyclic, make_product
 from .homextract import PipelineConfig, inverse_pipeline
 from .pseudometric import (alpha_lambda, gamma_linearity, gamma_monotonicity,
                            pseudometric_from_set, verify_pseudometric)
@@ -77,8 +77,10 @@ def cmd_gen(args):
     for s in shape[factor_idx + 1:]:
         stride *= s
     image = (np.arange(g.order) // stride) % m
-    chi = next(c for c in enumerate_characters(g, m)
-               if np.array_equal(c.image, image))
+    # the projection onto a cyclic factor is a surjective character
+    chi = Character(g, m, image, True)
+    if not chi.verify():
+        raise AssertionError(f"projection onto factor {factor_idx} is not a character")
 
     sa, la = (int(x) for x in need("arc-a").split())
     sb, lb = (int(x) for x in need("arc-b").split())

@@ -35,6 +35,7 @@ TRIANGLE_EXHAUSTIVE_LIMIT = 256
 ALPHA_STATE_CAP = 2_000_000     # exhaustive alpha sweep: states before giving up
 BEAM_WIDTH = 64                 # beam alpha search: kept paths per depth
 BEAM_RESTARTS = 8               # beam alpha search: seeded restarts
+LINEARITY_BLOCK = 2**14         # gamma_linearity: (u, v) pairs scanned per block
 
 
 class PseudometricTable:
@@ -253,6 +254,9 @@ def gamma_linearity(d: PseudometricTable, gamma) -> LinearityReport:
 
     Left-invariant tables reduce triples to pairs (u, v) =
     (g1^-1 g2, g2^-1 g3), which makes the scan exhaustive at N^2 cost.
+    The u rows are scanned in blocks of about LINEARITY_BLOCK pairs, so
+    the extra memory is O(LINEARITY_BLOCK), not N^2; the worst triple is
+    the first worst pair in row-major order.
     """
     gamma = Fraction(gamma)
     if gamma < 0:
@@ -269,9 +273,11 @@ def gamma_linearity(d: PseudometricTable, gamma) -> LinearityReport:
     gamma_cut = d.cut(gamma)
     # (nu + nv)/den < rho - gamma iff nu + nv < radius_num - cut(gamma)
     window = d.radius_num - gamma_cut
-    for u in range(n):
-        pn = norms[g.mul_vec(u, idx)]
-        nu = int(norms[u])
+    rows = max(1, LINEARITY_BLOCK // n)
+    for start in range(0, n, rows):
+        us = idx[start:start + rows]
+        pn = norms[g.mul_arr(us[:, None], idx[None, :])]
+        nu = norms[us, None]
         sums = nu + norms
         keep = sums < window
         if not keep.any():
@@ -280,9 +286,10 @@ def gamma_linearity(d: PseudometricTable, gamma) -> LinearityReport:
         dev = np.where(keep, dev, -1)
         checked += int(keep.sum())
         violations += int(np.count_nonzero(dev > gamma_cut))
-        v = int(dev.argmax())
-        if dev[v] > worst_num:
-            worst_num = int(dev[v])
+        k = int(dev.argmax())
+        if dev.flat[k] > worst_num:
+            worst_num = int(dev.flat[k])
+            u, v = int(us[k // n]), k % n
             worst_triple = (g.identity, u, g.mul(u, v))
     return LinearityReport(worst_num <= gamma_cut, Fraction(worst_num, den),
                            worst_triple, checked, violations)
@@ -663,7 +670,9 @@ def _alpha_exhaustive(ctx: SignContext, lam: Fraction, n_max: int):
 
     Irreducibility only constrains windows of length <= 4, so the last
     three entries plus the running product and signed weight are a
-    complete state.  Returns (alpha, witness_entries, complete).
+    complete state.  States are counted as they are created; the sweep
+    stops, incomplete, as soon as the count passes ALPHA_STATE_CAP.
+    Returns ((abs weight numerator, witness_entries) or None, complete).
     """
     d = ctx.d
     g = d.group
@@ -673,8 +682,7 @@ def _alpha_exhaustive(ctx: SignContext, lam: Fraction, n_max: int):
     start = {(a, (a,)): {weight[a]: (None, None, a)} for a in alphabet}
     layers = [start]
     states = start
-    total_states = sum(len(v) for v in states.values())
-    complete = True
+    total_states = len(start)
     for depth in range(2, n_max + 1):
         nxt = {}
         for (prod, suffix), tmap in states.items():
@@ -690,6 +698,7 @@ def _alpha_exhaustive(ctx: SignContext, lam: Fraction, n_max: int):
                     nt = t + contrib
                     if nt not in cell:
                         cell[nt] = ((prod, suffix), t, a)
+                        total_states += 1
                 if new_prod == g.identity:
                     for t in tmap:
                         nt = t + contrib
@@ -698,15 +707,13 @@ def _alpha_exhaustive(ctx: SignContext, lam: Fraction, n_max: int):
                             entries = _reconstruct(layers, depth - 1,
                                                    ((prod, suffix), t, a))
                             best = (cand, entries)
-        total_states += sum(len(v) for v in nxt.values())
-        if total_states > ALPHA_STATE_CAP:
-            complete = False
-            break
+                if total_states > ALPHA_STATE_CAP:
+                    return best, False
         layers.append(nxt)
         states = nxt
         if not states:
             break
-    return best, complete
+    return best, True
 
 
 def _reconstruct(layers, prev_depth, meta):
@@ -727,39 +734,65 @@ def _reconstruct(layers, prev_depth, meta):
 
 
 def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
-    """Seeded beam search; the result is a certified upper bound."""
+    """Seeded beam search; the result is a certified upper bound.
+
+    Each depth extends every kept path by 8 letters drawn without
+    replacement (the whole alphabet when it has at most 8) and keeps the
+    BEAM_WIDTH candidates of least |t| + 2 ||product||, ties broken by
+    the path tuple.  A layer is held as arrays: ``paths`` (beam x depth),
+    ``prod``, the signed weights ``t`` and ``rank``, each path's
+    lexicographic rank in the beam.  Candidate paths are distinct and of
+    one length, so their tuple order is the order of (parent rank,
+    letter).  Weights are exact int64 numerators.
+    """
     d = ctx.d
     g = d.group
+    norms = d.norm_num
     rng_master = np.random.default_rng(seed)
     letters, weight = _letters(ctx, lam)
-    alphabet = sorted(letters, key=lambda a: (-d.norm_num.item(a), a))
+    alphabet = np.array(sorted(letters, key=lambda a: (-norms.item(a), a)), dtype=np.int64)
+    signed = np.array([weight[a] for a in alphabet.tolist()], dtype=np.int64)
+    # the largest score: n_max letters of weight at most max|s|, plus 2 rho
+    if n_max * int(np.abs(signed).max()) + 2 * d.radius_num >= 2**63:
+        raise PreconditionError("beam weights", "loop weights overflow int64")
     cut = d.cut(lam)
+    n_letters = len(alphabet)
     best = None
     for r in range(BEAM_RESTARTS):
         rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
-        beam = [((a,), a, weight[a]) for a in alphabet[:BEAM_WIDTH]]
+        paths = alphabet[:BEAM_WIDTH, None]
+        prod, t = paths[:, 0], signed[:BEAM_WIDTH]
+        rank = np.argsort(np.argsort(prod))
         for _depth in range(2, n_max + 1):
-            cand = []
-            for suffix_path, prod, t in beam:
-                proposals = alphabet if len(alphabet) <= 8 else \
-                    [alphabet[int(i)] for i in rng.choice(len(alphabet),
-                                                          size=8, replace=False)]
-                for a in proposals:
-                    if _window_in_ball(d, cut, suffix_path[-3:], a):
-                        continue
-                    np_prod = g.mul(prod, a)
-                    nt = t + weight[a]
-                    path = suffix_path + (a,)
-                    if np_prod == g.identity and len(path) >= 2:
-                        key = (abs(nt), path)
-                        if best is None or key < best:
-                            best = key
-                    cand.append((path, np_prod, nt))
-            if not cand:
+            if n_letters <= 8:
+                pick = np.broadcast_to(np.arange(n_letters), (len(paths), n_letters))
+            else:
+                pick = np.array([rng.choice(n_letters, size=8, replace=False)
+                                 for _ in range(len(paths))])
+            cand = alphabet[pick]
+            # windows of length 2..4 ending at the new letter leave the ball
+            ok = np.ones(cand.shape, dtype=bool)
+            w = cand
+            for k in range(1, min(paths.shape[1], 3) + 1):
+                w = g.mul_arr(paths[:, -k, None], w)
+                ok &= norms[w] > cut
+            rows, cols = np.nonzero(ok)
+            if rows.size == 0:
                 break
-            cand.sort(key=lambda s: (abs(s[2]) + 2 * int(d.norm_num[s[1]]),
-                                     s[0]))
-            beam = cand[:BEAM_WIDTH]
+            a = cand[rows, cols]
+            new_prod = g.mul_arr(prod[rows], a)
+            nt = t[rows] + signed[pick[rows, cols]]
+            lex = rank[rows] * g.order + a
+            loops = np.flatnonzero(new_prod == g.identity)
+            if loops.size:
+                i = loops[np.lexsort((lex[loops], np.abs(nt[loops])))[0]]
+                key = (abs(int(nt[i])), tuple(paths[rows[i]].tolist()) + (int(a[i]),))
+                if best is None or key < best:
+                    best = key
+            keep = np.lexsort((lex, np.abs(nt) + 2 * norms[new_prod]))[:BEAM_WIDTH]
+            paths = np.concatenate([paths[rows[keep]], a[keep, None]], axis=1)
+            prod, t = new_prod[keep], nt[keep]
+            rank = np.argsort(np.argsort(lex[keep]))
     if best is None:
         return None
     return (Fraction(best[0], d.den), best[1])

@@ -1,11 +1,12 @@
 """Harness round-trips, subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from kemplab import Subset, make_cyclic, make_from_table, make_product, \
+from kemplab import Subset, cli, groups, make_cyclic, make_from_table, make_product, \
     symmetric_group_table
 from kemplab.cli import main
 from kemplab.io import load_group, load_subset, save_group, save_subset
@@ -117,6 +118,32 @@ def test_gen_rejects_noise_beyond_available_cells(tmp_path, capsys, spec, messag
     code = main(["gen", "--spec", str(path), "--out-prefix", str(tmp_path / "p")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, digests", [
+    ("kind: cyclic\nn: 4099\narc-a: 0 40\narc-b: 0 50\nnoise-a: 1\nnoise-b: 1\nseed: 3\n",
+     {"group": "7cbc6897b9a0600f", "a": "61aef9e3630226f8", "b": "5ececb012f48dbf0"}),
+    ("kind: product\nfactors: 48 5\nchar-factor: 0\narc-a: 0 10\narc-b: 0 12\n"
+     "noise-a: 3\nnoise-b: 2\nseed: 7\n",
+     {"group": "09bfa9b63a7f4051", "a": "892be29581ede4ea", "b": "c6cd7cea31a479a9"}),
+], ids=["Z4099", "Z48xZ5"])
+def test_gen_plants_the_projection_without_enumerating_characters(tmp_path, monkeypatch,
+                                                                  spec, digests):
+    # the planted character is the projection gen computes, so no
+    # character is enumerated (Z4099 has 4099 of 4099 entries each); the
+    # digests are those of the files written by the enumerating search
+    def enumerate_characters(*args, **kwargs):
+        raise AssertionError("gen enumerated the characters")
+    monkeypatch.setattr(cli, "enumerate_characters", enumerate_characters, raising=False)
+    monkeypatch.setattr(groups, "enumerate_characters", enumerate_characters)
+    path = tmp_path / "plant.spec"
+    path.write_text(spec)
+    prefix = tmp_path / "p"
+    assert main(["gen", "--spec", str(path), "--out-prefix", str(prefix),
+                 "--out", str(tmp_path / "gen.json")]) == 0
+    written = {ext: hashlib.sha256((tmp_path / f"p.{ext}").read_bytes()).hexdigest()[:16]
+               for ext in digests}
+    assert written == digests
 
 
 def test_report_determinism(planted_files, capsys):

@@ -2,23 +2,26 @@
 
 import hashlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kemplab import (PseudometricTable, SignContext, Subset, alpha_lambda,
-                     ball, ball_growth_check, gamma_linearity,
+from kemplab import (LambdaSequence, PseudometricTable, SignContext, Subset,
+                     alpha_lambda, ball, ball_growth_check, gamma_linearity,
                      gamma_monotonicity, irreducible_concatenation,
                      is_irreducible, kernel_subgroup, loop_quantization_check,
                      make_cyclic, make_from_table, make_product,
                      path_monotone_check, pseudometric_from_set,
                      relative_sign, symmetric_group_table, total_weight,
                      verify_pseudometric)
+from kemplab import pseudometric
 from kemplab.errors import AmbiguousSign, EmptyInput, PreconditionError
 from kemplab.groups import cayley_bfs, cayley_word
-from kemplab.pseudometric import _alpha_exhaustive, _loop_bounds
+from kemplab.homextract import _auto_lambda
+from kemplab.pseudometric import _alpha_beam, _alpha_exhaustive, _loop_bounds
 
 
 def arc_table(n=360, length=160):
@@ -595,3 +598,129 @@ def test_linearity_at_a_gamma_with_a_huge_denominator():
     assert below == _linearity_fields(gamma_linearity(d, Fraction(1, 360)))
     assert above == _linearity_fields(gamma_linearity(d, Fraction(2, 360)))
     assert below != above
+
+
+# -- the batched beam and the blocked linearity scan --------------------------
+
+
+def _linearity_oracle(d, gamma):
+    """Every triple of the dense matrix, exact integers: (worst numerator,
+    triples checked, triples beyond gamma)."""
+    dense = d.dense_num()
+    p, q = gamma.numerator, gamma.denominator
+    d12 = dense[:, :, None]
+    d23 = dense[None, :, :]
+    d13 = dense[:, None, :]
+    sums = d12 + d23
+    # (d12 + d23)/den < rho - p/q, times q * den
+    keep = q * sums < q * d.radius_num - p * d.den
+    dev = np.minimum(np.abs(d13 - sums), np.abs(d13 - np.abs(d12 - d23)))
+    dev = np.where(keep, dev, -1)
+    return int(max(dev.max(), 0)), int(keep.sum()), int((q * dev > p * d.den).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PROPERTY_MODELS)), st.data())
+def test_linearity_scan_matches_the_triple_oracle(kind, data):
+    g = PROPERTY_MODELS[kind]
+    n = g.order
+    members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    d = pseudometric_from_set(g, Subset.from_indices(g, sorted(members)))
+    dense = d.dense_num()
+    # one block holds every row here; 25 pairs per block makes blocks of
+    # 2 rows (N = 12) or 4 rows (S3, whose last block is partial)
+    for block, gamma in ((b, gm) for b in (pseudometric.LINEARITY_BLOCK, 25)
+                         for gm in (Fraction(0), Fraction(1, n), Fraction(3, n))):
+        with mock.patch.object(pseudometric, "LINEARITY_BLOCK", block):
+            rep = gamma_linearity(d, gamma)
+        worst, checked, violations = _linearity_oracle(d, gamma)
+        assert rep.worst_violation == Fraction(worst, d.den)
+        assert rep.holds == (rep.worst_violation <= gamma)
+        # the pair scan fixes g1 = identity; left invariance gives N triples per pair
+        assert (rep.checked * n, rep.violations * n) == (checked, violations)
+        if worst == 0:
+            assert rep.worst_triple is None
+        else:
+            g1, g2, g3 = rep.worst_triple
+            d12, d23, d13 = (int(dense[x, y]) for x, y in ((g1, g2), (g2, g3), (g1, g3)))
+            assert min(abs(d13 - d12 - d23), abs(d13 - abs(d12 - d23))) == worst
+
+
+# Beam outputs frozen before the beam held its layers as arrays: the working
+# table of criterion 7's exact pair (A3 = the first 20 cells of Z48 x Z5,
+# lambda from _auto_lambda) and a model with a table factor.
+
+PLANTED_BEAM_PATH = (
+    5, 5, 6, 5, 6, 5, 8, 6, 5, 6, 5, 5, 5, 5, 5, 5, 5, 7, 5, 5, 6, 6, 5, 6, 6, 5,
+    6, 5, 5, 6, 5, 6, 5, 5, 5, 5, 5, 7, 5, 5, 5, 6, 5, 5, 5, 7, 6, 8)
+S3Z20_BEAM_PATH = (1, 1, 1, 1, 1, 21, 21, 41, 21, 41, 81, 61, 21, 61, 1, 1, 21, 1, 61, 101)
+
+
+@pytest.mark.parametrize("case", ["planted", "s3 x z20"])
+def test_golden_alpha_beam_product_and_table_models(case):
+    if case == "planted":
+        g = make_product(make_cyclic(48), make_cyclic(5))
+        d = pseudometric_from_set(g, Subset.from_indices(g, range(20)))
+        seed, path = 0, PLANTED_BEAM_PATH
+        expect = (Fraction(1, 192), Fraction(4, 3), 64, (5,) * 48)
+    else:
+        g = make_product(make_from_table(symmetric_group_table(3)[0], "S3"), make_cyclic(20))
+        d = pseudometric_from_set(g, Subset.from_indices(g, [x for x in range(120)
+                                                             if x % 20 < 8]))
+        seed, path = 1, S3Z20_BEAM_PATH
+        expect = (Fraction(1, 36), Fraction(4, 3), 26, (1,) * 20)
+    lam = _auto_lambda(d, g)
+    assert lam == Fraction(1, 48 if case == "planted" else 20)
+    assert gamma_linearity(d, 0).holds
+    n_max = _loop_bounds(d, lam)[2]
+    assert _alpha_beam(SignContext(d, 0), lam, n_max, seed) == (1, path)
+    # the beam loop ties with a constant loop, which wins on its entries
+    res = alpha_lambda(d, lam, 0, mode="beam", seed=seed)
+    assert (res.alpha, res.lower, res.upper, res.n_max, res.witness.entries) == (1, *expect)
+
+
+def test_golden_alpha_beam_on_a_table_where_a_window_of_four_returns():
+    # on S3 x Z5 with this A the windows of length 2 and 3 of (1, 1, 1, 1)
+    # leave the ball but the product of all four is back in it; a beam
+    # that skips the length-4 window returns that reducible loop
+    g = make_product(make_from_table(symmetric_group_table(3)[0], "S3"), make_cyclic(5))
+    d = pseudometric_from_set(g, Subset.from_indices(g, [2, 3, 25, 29]))
+    lam = Fraction(1, 15)
+    found = _alpha_beam(SignContext(d, 0), lam, _loop_bounds(d, lam)[2], 0)
+    assert found == (Fraction(1, 3), (1, 1, 1, 28, 1, 28))
+    assert not is_irreducible(d, lam, (1, 1, 1, 1))
+    assert LambdaSequence.build(d, lam, found[1]).irreducible
+
+
+def test_alpha_beam_weights_are_exact_up_to_the_int64_guard():
+    # the arc-160 table with every numerator (and the denominator) scaled
+    # by c: a score is at most n_max * 5 + 2 * 160 = 970 scaled cells, so
+    # the largest c with 970 c < 2^63 gives the same beam and c + 1 raises
+    z, d = arc_table()
+    lam = Fraction(5, 360)
+    n_max = _loop_bounds(d, lam)[2]
+    assert n_max == 130
+    c = (2**63 - 1) // 970
+    big = PseudometricTable(z, d.norm_num * c, d.den * c)
+    assert _alpha_beam(SignContext(big, 0), lam, n_max, 1) == (1, ARC160_BEAM_WITNESS)
+    huge = PseudometricTable(z, d.norm_num * (c + 1), d.den * (c + 1))
+    with pytest.raises(PreconditionError, match="beam weights"):
+        _alpha_beam(SignContext(huge, 0), lam, n_max, 1)
+
+
+def test_alpha_exhaustive_stops_when_the_state_count_passes_the_cap(monkeypatch):
+    # the noisy Z400 arc at gamma = 2/400, lambda = 9/400 (18 letters)
+    # outgrows the cap: a sweep that finishes the layer passing a cap of
+    # 1,000 makes 12,204 window checks, one that stops as the count
+    # passes the cap makes 3,027
+    z, d, gamma = noisy_arc(400, 185)
+    ctx = SignContext(d, gamma)
+    lam = Fraction(9, 400)
+    calls = []
+    window = pseudometric._window_in_ball
+    monkeypatch.setattr(pseudometric, "ALPHA_STATE_CAP", 1000)
+    monkeypatch.setattr(pseudometric, "_window_in_ball",
+                        lambda *args: calls.append(1) or window(*args))
+    best, complete = _alpha_exhaustive(ctx, lam, _loop_bounds(d, lam)[2])
+    assert not complete
+    assert len(calls) <= 4 * 1000
