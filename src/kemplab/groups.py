@@ -22,8 +22,12 @@ import numpy as np
 from .errors import AxiomViolation, GroupMismatch, NotNormal, PreconditionError
 
 # Exhaustive axiom/identity scans are affordable up to this order;
-# larger models fall back to seeded sampling.
+# larger models fall back to seeded sampling.  Up to it the full
+# multiplication table is also memoized on the model (2 MiB at 512).
 EXHAUSTIVE_LIMIT = 512
+# Largest order for which an N x N int64 array (a multiplication table,
+# a dense pseudometric) is built: 128 MiB at 4096.
+DENSE_ORDER_LIMIT = 4096
 
 
 class GroupModel:
@@ -40,8 +44,8 @@ class GroupModel:
     computed once from the factors; ``kind`` is ``cyclic`` or ``table``
     for one factor and ``product`` otherwise.  Instances are immutable
     and all operations on them are pure; ``_cache`` memoizes data derived
-    from the model (translate rows, coset partitions, quotients) and is
-    freed with it.
+    from the model (translate rows, coset partitions, quotients, the
+    full table of a small model) and is freed with it.
     """
 
     __slots__ = ("label", "factors", "order", "identity", "abelian", "_digits", "_cache")
@@ -188,13 +192,43 @@ class GroupModel:
         return True
 
     def full_table(self) -> np.ndarray:
-        """The multiplication table (memory: order^2 ints); read-only for
-        a one-factor table model, whose stored table it is."""
+        """The read-only multiplication table (memory: order^2 ints).
+
+        A one-factor table model returns its stored table; any other
+        model builds it row by row, so the only N x N array is the
+        result; above DENSE_ORDER_LIMIT it raises PreconditionError
+        ("order limit") first.  Up to EXHAUSTIVE_LIMIT the table is
+        memoized in ``_cache``.
+        """
         fs = self.factors
         if len(fs) == 1 and fs[0][1] is not None:
             return fs[0][1]
+        table = self._cache.get("full_table")
+        if table is not None:
+            return table
+        require_dense_order(self.order)
         idx = self.elements()
-        return self._products(idx[:, None], idx[None, :])
+        table = np.empty((self.order, self.order), dtype=np.int64)
+        for a in range(self.order):
+            table[a] = self._products(a, idx)
+        table.setflags(write=False)
+        if self.order <= EXHAUSTIVE_LIMIT:
+            self._cache["full_table"] = table
+        return table
+
+    def small_table(self) -> Optional[np.ndarray]:
+        """The memoized full table when order <= EXHAUSTIVE_LIMIT, else
+        None; product-heavy scans gather from it instead of recomputing
+        the mixed-radix digits, and use ``mul_arr`` above the limit."""
+        return self.full_table() if self.order <= EXHAUSTIVE_LIMIT else None
+
+
+def require_dense_order(order: int):
+    """Raise PreconditionError("order limit") before an N x N array is
+    allocated for an order above DENSE_ORDER_LIMIT."""
+    if order > DENSE_ORDER_LIMIT:
+        raise PreconditionError("order limit", f"an N x N array at order {order} "
+                                f"exceeds DENSE_ORDER_LIMIT = {DENSE_ORDER_LIMIT}")
 
 
 def _check_associative(table: np.ndarray):

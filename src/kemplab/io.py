@@ -1,8 +1,11 @@
 """Harness file formats and report serialization.
 
 Text formats are line-oriented ``key: value`` with ``#`` comments.
-Group files: ``kind: cyclic|product|table`` plus parameters; table kind
-embeds the N x N matrix.  Subset files: explicit ``indices:`` or a hex
+Group files are written as ``kind: factors`` with one ``factor:`` line
+per factor of the model, most significant first: ``cyclic n`` or
+``table`` followed by its rows separated by ``/``.  The older
+``kind: cyclic|product|table`` files (table kind embeds the N x N
+matrix) still load.  Subset files: explicit ``indices:`` or a hex
 ``mask:`` with declared n.  All rationals serialize as "p/q" strings so
 golden files carry no precision loss.
 """
@@ -60,6 +63,8 @@ def _parse_kv(text: str):
                 rows.append(row)
                 i += 1
             out[key] = (rows, i)
+        elif key == "factor":
+            out.setdefault(key, []).append((val, i))
         else:
             out[key] = (val, i)
     return out
@@ -71,6 +76,12 @@ def load_group(path: str) -> GroupModel:
         raise ParseError(1, "missing 'kind'")
     kind, ln = kv["kind"]
     label = kv.get("label", (None, 0))[0]
+    if kind == "factors":
+        if "factor" not in kv:
+            raise ParseError(ln, "factors group needs at least one 'factor'")
+        models = [_parse_factor(val, fln) for val, fln in kv["factor"]]
+        return GroupModel([f for m in models for f in m.factors],
+                          label or "x".join(m.label for m in models))
     if kind == "cyclic":
         if "n" not in kv:
             raise ParseError(ln, "cyclic group needs 'n'")
@@ -104,19 +115,31 @@ def load_group(path: str) -> GroupModel:
     raise ParseError(ln, f"unknown kind {kind!r}")
 
 
+def _parse_factor(val: str, ln: int) -> GroupModel:
+    """One ``factor:`` value as a one-factor model: ``cyclic n`` or
+    ``table r0 / r1 / ...``, the table validated by make_from_table."""
+    kind, _, rest = val.partition(" ")
+    try:
+        if kind == "cyclic":
+            return make_cyclic(int(rest))
+        if kind == "table":
+            return make_from_table(np.array([[int(x) for x in row.split()]
+                                             for row in rest.split("/")]))
+    except ValueError:
+        raise ParseError(ln, f"bad {kind} factor {rest!r}")
+    raise ParseError(ln, f"unknown factor kind {kind!r}")
+
+
 def save_group(path: str, g: GroupModel):
+    """Write g as its factor list, so load_group rebuilds the same model."""
     with open(path, "w") as f:
-        if g.kind == "cyclic":
-            f.write(f"kind: cyclic\nn: {g.order}\nlabel: {g.label}\n")
-        elif g.kind == "product" and g.cyclic_shape is not None:
-            f.write("kind: product\nfactors: "
-                    + " ".join(str(x) for x in g.cyclic_shape)
-                    + f"\nlabel: {g.label}\n")
-        else:
-            f.write(f"kind: table\nn: {g.order}\nlabel: {g.label}\ntable:\n")
-            table = g.full_table()
-            for row in table:
-                f.write(" ".join(str(int(x)) for x in row) + "\n")
+        f.write(f"kind: factors\nlabel: {g.label}\n")
+        for n, table, _, _ in g.factors:
+            if table is None:
+                f.write(f"factor: cyclic {n}\n")
+            else:
+                f.write("factor: table " + " / ".join(" ".join(map(str, row))
+                                                      for row in table.tolist()) + "\n")
 
 
 def load_subset(path: str, g: GroupModel) -> Subset:

@@ -28,7 +28,8 @@ import numpy as np
 from .errors import (AmbiguousSign, EmptyInput, MinimumResolution,
                      PreconditionError)
 from .groups import (GroupModel, Subgroup, cayley_bfs, cayley_word,
-                     distinct_cyclic_subgroups, powers, subgroup_from_members)
+                     distinct_cyclic_subgroups, powers, require_dense_order,
+                     subgroup_from_members)
 from .sumset import Subset, overlap_profile
 
 TRIANGLE_EXHAUSTIVE_LIMIT = 256
@@ -82,8 +83,10 @@ class PseudometricTable:
         return self.norm_num[g.mul_vec(g.inv(g1), g.elements())]
 
     def dense_num(self) -> np.ndarray:
-        """The N x N numerator matrix, row by row."""
+        """The N x N numerator matrix, row by row; raises
+        PreconditionError("order limit") above DENSE_ORDER_LIMIT."""
         n = self.group.order
+        require_dense_order(n)
         num = np.empty((n, n), dtype=np.int64)
         for i in range(n):
             num[i] = self.row_num(i)
@@ -256,7 +259,9 @@ def gamma_linearity(d: PseudometricTable, gamma) -> LinearityReport:
     (g1^-1 g2, g2^-1 g3), which makes the scan exhaustive at N^2 cost.
     The u rows are scanned in blocks of about LINEARITY_BLOCK pairs, so
     the extra memory is O(LINEARITY_BLOCK), not N^2; the worst triple is
-    the first worst pair in row-major order.
+    the first worst pair in row-major order.  A block's products are a
+    slice of the model's memoized table when it has one (order <=
+    EXHAUSTIVE_LIMIT) and ``mul_arr`` products otherwise.
     """
     gamma = Fraction(gamma)
     if gamma < 0:
@@ -274,9 +279,11 @@ def gamma_linearity(d: PseudometricTable, gamma) -> LinearityReport:
     # (nu + nv)/den < rho - gamma iff nu + nv < radius_num - cut(gamma)
     window = d.radius_num - gamma_cut
     rows = max(1, LINEARITY_BLOCK // n)
+    table = g.small_table()
     for start in range(0, n, rows):
         us = idx[start:start + rows]
-        pn = norms[g.mul_arr(us[:, None], idx[None, :])]
+        pn = norms[g.mul_arr(us[:, None], idx[None, :]) if table is None
+                   else table[start:start + rows]]
         nu = norms[us, None]
         sums = nu + norms
         keep = sums < window
@@ -733,6 +740,72 @@ def _reconstruct(layers, prev_depth, meta):
     return tuple(entries)
 
 
+_HALF = 0xFFFFFFFF
+
+
+def _choice_rows(bitgen, carry: list, n: int, rows: int) -> np.ndarray:
+    """``rows`` consecutive ``Generator.choice(n, 8, replace=False)``
+    draws from the stream of ``bitgen``, as one (rows, 8) int64 array.
+
+    For a sample of 8, numpy's choice is Floyd's algorithm (draws in
+    [0, j] for j = n-8..n-1, taking j when the draw is already chosen)
+    followed by a Fisher-Yates shuffle (draws in [0, i] for i = 7..1),
+    and each bounded draw on range r is Lemire's multiply-shift on one
+    32-bit half u of a 64-bit output, low half first: floor(u r / 2^32),
+    rejected (taking the next half) when (u r) mod 2^32 < (2^32 - r) mod r.
+    A row takes 15 halves unless a draw is rejected, so the layer reads
+    its outputs in one ``random_raw`` call and runs the 15 steps as
+    column operations.  From the first row with a rejected draw on, the
+    layer is finished one draw at a time from the same halves.
+    ``carry`` holds the unread high half (at most one) between calls
+    and is updated in place.
+    """
+    words = bitgen.random_raw((rows * 15 - len(carry) + 1) // 2)
+    halves = np.concatenate([np.array(carry, dtype=np.uint64),
+                             words.astype("<u8").view("<u4")])
+    ranges = np.array(list(range(n - 7, n + 1)) + list(range(8, 1, -1)), dtype=np.uint64)
+    m = halves[:rows * 15].reshape(rows, 15) * ranges
+    rejected = (m & _HALF) < (2**32 - ranges) % ranges
+    first = int(rejected.argmax()) // 15 if rejected.any() else rows
+    # the batch works on (step, row) arrays, so each step is one contiguous row
+    draws = (m[:first].T >> 32).astype(np.int64)
+    sel = draws[:8].copy()
+    for k in range(1, 8):
+        np.copyto(sel[k], n - 8 + k, where=(sel[:k] == sel[k]).any(axis=0))
+    flat = sel.reshape(-1)
+    for i, j in zip(range(7, 0, -1), draws[8:] * first + np.arange(first)):
+        swap = flat.take(j)
+        flat.put(j, sel[i])
+        sel[i] = swap
+    pick = np.empty((rows, 8), dtype=np.int64)
+    pick[:first] = sel.T
+    tail = halves[first * 15:].tolist()
+    pos = 0
+
+    def draw(r):
+        nonlocal pos
+        while True:
+            if pos == len(tail):
+                w = int(bitgen.random_raw())
+                tail.extend((w & _HALF, w >> 32))
+            u = tail[pos] * r
+            pos += 1
+            if u & _HALF >= (2**32 - r) % r:
+                return u >> 32
+
+    for row in range(first, rows):
+        chosen = []
+        for j in range(n - 8, n):
+            v = draw(j + 1)
+            chosen.append(j if v in chosen else v)
+        for i in range(7, 0, -1):
+            k = draw(i + 1)
+            chosen[i], chosen[k] = chosen[k], chosen[i]
+        pick[row] = chosen
+    carry[:] = tail[pos:]
+    return pick
+
+
 def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
     """Seeded beam search; the result is a certified upper bound.
 
@@ -744,10 +817,23 @@ def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
     lexicographic rank in the beam.  Candidate paths are distinct and of
     one length, so their tuple order is the order of (parent rank,
     letter).  Weights are exact int64 numerators.
+
+    The draws are defined as numpy's: restart r seeds
+    ``default_rng(rng_master.integers(0, 2**63 - 1))`` and each kept
+    path, in beam order, takes the 8 letter positions that
+    ``choice(len(alphabet), 8, replace=False)`` would return on that
+    generator.  ``_choice_rows`` computes a whole layer of them from the
+    raw PCG64 stream; a test pins it to the installed numpy's
+    ``Generator.choice``, so a change in numpy's sampler fails that one
+    test before it moves any seeded witness.  Windows and products are
+    gathers from the model's memoized table up to EXHAUSTIVE_LIMIT and
+    ``mul_arr`` products above it.
     """
     d = ctx.d
     g = d.group
     norms = d.norm_num
+    table = g.small_table()
+    mul = g.mul_arr if table is None else (lambda xs, ys: table[xs, ys])
     rng_master = np.random.default_rng(seed)
     letters, weight = _letters(ctx, lam)
     alphabet = np.array(sorted(letters, key=lambda a: (-norms.item(a), a)), dtype=np.int64)
@@ -759,7 +845,8 @@ def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
     n_letters = len(alphabet)
     best = None
     for r in range(BEAM_RESTARTS):
-        rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
+        bitgen = np.random.default_rng(rng_master.integers(0, 2**63 - 1)).bit_generator
+        carry = []
         paths = alphabet[:BEAM_WIDTH, None]
         prod, t = paths[:, 0], signed[:BEAM_WIDTH]
         rank = np.argsort(np.argsort(prod))
@@ -767,20 +854,19 @@ def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
             if n_letters <= 8:
                 pick = np.broadcast_to(np.arange(n_letters), (len(paths), n_letters))
             else:
-                pick = np.array([rng.choice(n_letters, size=8, replace=False)
-                                 for _ in range(len(paths))])
+                pick = _choice_rows(bitgen, carry, n_letters, len(paths))
             cand = alphabet[pick]
             # windows of length 2..4 ending at the new letter leave the ball
             ok = np.ones(cand.shape, dtype=bool)
             w = cand
             for k in range(1, min(paths.shape[1], 3) + 1):
-                w = g.mul_arr(paths[:, -k, None], w)
+                w = mul(paths[:, -k, None], w)
                 ok &= norms[w] > cut
             rows, cols = np.nonzero(ok)
             if rows.size == 0:
                 break
             a = cand[rows, cols]
-            new_prod = g.mul_arr(prod[rows], a)
+            new_prod = mul(prod[rows], a)
             nt = t[rows] + signed[pick[rows, cols]]
             lex = rank[rows] * g.order + a
             loops = np.flatnonzero(new_prod == g.identity)

@@ -387,7 +387,8 @@ def test_pinned_attributes_after_load(tmp_path):
              (make_product(make_product(z(2), z(3)), z(4), "T"),
               (0, True, "product", (2, 3, 4), "T")),
              (make_product(z(6), z(4)), (0, True, "product", (6, 4), "Z6xZ4")),
-             (s3_z20(), (0, False, "table", None, "S3xZ20")),
+             (s3_z20(), (0, False, "product", None, "S3xZ20")),
+             (make_product(relabelled_z3(), z(4)), (8, True, "product", None, "T3xZ4")),
              (relabelled_z3(), (2, True, "table", None, "T3"))]
     for g, expect in cases:
         path = tmp_path / "g.group"
@@ -408,6 +409,44 @@ def test_nestings_of_one_product_are_one_model(tmp_path):
     path = tmp_path / "g.group"
     save_group(str(path), right)
     assert load_group(str(path)).same_model(right)
+
+
+def test_saved_groups_reload_as_the_same_model(tmp_path):
+    # a group file is the factor list: S3 x Z20 used to come back as one
+    # 120 x 120 table, equal in its products but a different model
+    from kemplab import Subset
+    from kemplab.io import load_group, save_group
+    for g in (s3_z20(), make_product(z(4), relabelled_z3()), s3(), z(37),
+              make_product(z(6), z(4))):
+        path = tmp_path / "g.group"
+        save_group(str(path), g)
+        back = load_group(str(path))
+        assert back.same_model(g) and back.label == g.label
+        last = g.order - 1
+        union = Subset.from_indices(g, [0, last]).union(Subset.from_indices(back, [1, last]))
+        assert union.indices().tolist() == [0, 1, last]
+
+
+def test_group_files_of_every_kind_load(tmp_path):
+    from kemplab.errors import ParseError
+    from kemplab.io import load_group
+    s3_rows = "\n".join(" ".join(map(str, row)) for row in S3_TABLE)
+    s3_line = " / ".join(" ".join(map(str, row)) for row in S3_TABLE)
+    for text, want in (("kind: cyclic\nn: 37\n", z(37)),
+                       ("kind: product\nfactors: 2 3 4\nlabel: T\n",
+                        make_product(make_product(z(2), z(3)), z(4))),
+                       (f"kind: table\nn: 6\ntable:\n{s3_rows}\n", s3()),
+                       (f"kind: factors\nfactor: table {s3_line}\nfactor: cyclic 20\n",
+                        s3_z20())):
+        path = tmp_path / "g.group"
+        path.write_text(text)
+        assert load_group(str(path)).same_model(want)
+    for bad in ("kind: factors\n", "kind: factors\nfactor: cyclic x\n",
+                "kind: factors\nfactor: table 0 1 / 1\n",
+                "kind: factors\nfactor: torus 3\n"):
+        path.write_text(bad)
+        with pytest.raises(ParseError):
+            load_group(str(path))
 
 
 def test_index_space_bound_on_every_constructor():

@@ -17,7 +17,7 @@ from kemplab import (LambdaSequence, PseudometricTable, SignContext, Subset,
                      path_monotone_check, pseudometric_from_set,
                      relative_sign, symmetric_group_table, total_weight,
                      verify_pseudometric)
-from kemplab import pseudometric
+from kemplab import groups, pseudometric
 from kemplab.errors import AmbiguousSign, EmptyInput, PreconditionError
 from kemplab.groups import cayley_bfs, cayley_word
 from kemplab.homextract import _auto_lambda
@@ -623,15 +623,30 @@ def _linearity_oracle(d, gamma):
 @given(st.sampled_from(sorted(PROPERTY_MODELS)), st.data())
 def test_linearity_scan_matches_the_triple_oracle(kind, data):
     g = PROPERTY_MODELS[kind]
+    members = data.draw(st.sets(st.integers(0, g.order - 1), min_size=1))
+    check_linearity_scan(g, sorted(members))
+
+
+def test_linearity_scan_names_a_worst_triple_of_the_product_u_v():
+    # deviations are symmetric in (u, v), so a scan of the products v u
+    # finds the same worst value, checked and violation counts; on this
+    # set it names a triple whose own deviation differs
+    g = PROPERTY_MODELS["table x cyclic"]
+    check_linearity_scan(g, [0, 2, 4, 5, 9, 11])
+
+
+def check_linearity_scan(g, members):
     n = g.order
-    members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
-    d = pseudometric_from_set(g, Subset.from_indices(g, sorted(members)))
+    d = pseudometric_from_set(g, Subset.from_indices(g, members))
     dense = d.dense_num()
     # one block holds every row here; 25 pairs per block makes blocks of
-    # 2 rows (N = 12) or 4 rows (S3, whose last block is partial)
-    for block, gamma in ((b, gm) for b in (pseudometric.LINEARITY_BLOCK, 25)
-                         for gm in (Fraction(0), Fraction(1, n), Fraction(3, n))):
-        with mock.patch.object(pseudometric, "LINEARITY_BLOCK", block):
+    # 2 rows (N = 12) or 4 rows (S3, whose last block is partial); a table
+    # limit of 0 takes the mul_arr products that orders above it use
+    for block, limit, gamma in ((b, lim, gm) for b in (pseudometric.LINEARITY_BLOCK, 25)
+                                for lim in (groups.EXHAUSTIVE_LIMIT, 0)
+                                for gm in (Fraction(0), Fraction(1, n), Fraction(3, n))):
+        with mock.patch.object(pseudometric, "LINEARITY_BLOCK", block), \
+                mock.patch.object(groups, "EXHAUSTIVE_LIMIT", limit):
             rep = gamma_linearity(d, gamma)
         worst, checked, violations = _linearity_oracle(d, gamma)
         assert rep.worst_violation == Fraction(worst, d.den)
@@ -692,6 +707,19 @@ def test_golden_alpha_beam_on_a_table_where_a_window_of_four_returns():
     assert LambdaSequence.build(d, lam, found[1]).irreducible
 
 
+@pytest.mark.parametrize("limit", [groups.EXHAUSTIVE_LIMIT, 0])
+def test_golden_alpha_beam_on_s4_reads_products_in_path_order(limit):
+    # frozen at the parent; on this A the beam's windows and products
+    # taken as (new letter) x (path) instead of (path) x (new letter)
+    # return other loops; a table limit of 0 takes the mul_arr products
+    s4 = make_from_table(symmetric_group_table(4)[0], "S4")
+    d = pseudometric_from_set(s4, Subset.from_indices(s4, [0, 4, 6, 9, 10, 12, 13, 14, 15]))
+    with mock.patch.object(groups, "EXHAUSTIVE_LIMIT", limit):
+        for lam, want in ((Fraction(5, 24), (Fraction(1, 24), (2, 20, 18, 13, 18, 23))),
+                          (Fraction(1, 4), (Fraction(5, 12), (9, 23, 18, 18, 23, 9)))):
+            assert _alpha_beam(SignContext(d, 0), lam, _loop_bounds(d, lam)[2], 0) == want
+
+
 def test_alpha_beam_weights_are_exact_up_to_the_int64_guard():
     # the arc-160 table with every numerator (and the denominator) scaled
     # by c: a score is at most n_max * 5 + 2 * 160 = 970 scaled cells, so
@@ -724,3 +752,89 @@ def test_alpha_exhaustive_stops_when_the_state_count_passes_the_cap(monkeypatch)
     best, complete = _alpha_exhaustive(ctx, lam, _loop_bounds(d, lam)[2])
     assert not complete
     assert len(calls) <= 4 * 1000
+
+
+# -- the beam's batched draws and the memoized product table ------------------
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_emitting(word, earlier=0):
+    """A PCG64 whose output number earlier + 1 is the 64-bit ``word``.
+
+    An output is the XSL-RR of the stepped state (hi, lo), rotr64(hi ^ lo,
+    hi >> 58), so lo = rotl64(word, hi >> 58) ^ hi for any hi; the LCG is
+    then stepped back through the inverse of its multiplier."""
+    bitgen = np.random.PCG64(0)
+    st = bitgen.state
+    inc = st["state"]["inc"]
+    hi = 0x0123456789ABCDEF
+    rot = hi >> 58
+    lo = (((word << rot) | (word >> (64 - rot))) & (2**64 - 1)) ^ hi
+    state = (hi << 64) | lo
+    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
+    for _ in range(earlier + 1):
+        state = (state - inc) * inverse % 2**128
+    st["state"]["state"] = state
+    bitgen.state = st
+    return bitgen
+
+
+def choice_layers(make_bitgen, n, layers=(64, 61, 64)):
+    """The helper's consecutive layers next to a loop of Generator.choice
+    on an identical generator."""
+    rng = np.random.Generator(make_bitgen())
+    want = np.array([rng.choice(n, size=8, replace=False) for _ in range(sum(layers))])
+    bitgen, carry = make_bitgen(), []
+    got = np.concatenate([pseudometric._choice_rows(bitgen, carry, n, rows)
+                          for rows in layers])
+    return got, want
+
+
+@pytest.mark.parametrize("n", [9, 14, 20, 37, 100, 1000])
+def test_batched_draws_are_generator_choice(n):
+    # a layer of 61 rows takes 915 halves, so the next layer starts from
+    # the high half it left unread
+    for seed in (0, 7):
+        got, want = choice_layers(lambda: np.random.PCG64(seed), n)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("phase, word, earlier", [
+    ("floyd", 0xDEADBEEF00000000, 0),        # half 0: the first draw, range n - 7
+    ("shuffle", 0x00000000DEADBEEF, 4),      # half 9: the second swap, range 7
+])
+def test_batched_draws_redraw_a_rejected_half(phase, word, earlier):
+    # a half of 0 on range 7 is rejected, as 0 < (2^32 - 7) mod 7 = 4, and
+    # the draw takes the next half, so every later row shifts by one half
+    assert pcg64_emitting(word, earlier).random_raw(earlier + 1)[-1] == word
+    got, want = choice_layers(lambda: pcg64_emitting(word, earlier), 14)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", sorted(PROPERTY_MODELS))
+def test_small_models_memoize_a_read_only_table(kind):
+    g = PROPERTY_MODELS[kind]
+    table = g.full_table()
+    assert g.small_table() is table and g.full_table() is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    idx = g.elements()
+    assert np.array_equal(table, g.mul_arr(idx[:, None], idx[None, :]))
+
+
+def test_order_limit_before_an_n_squared_array():
+    import tracemalloc
+    from kemplab.groups import DENSE_ORDER_LIMIT
+    g = make_product(make_cyclic(2), make_cyclic(DENSE_ORDER_LIMIT // 2 + 1))
+    d = PseudometricTable(g, np.zeros(g.order, dtype=np.int64), g.order)
+    tracemalloc.start()
+    try:
+        for build in (g.full_table, d.dense_num):
+            with pytest.raises(PreconditionError, match="order limit"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20          # an N x N int64 array here is 128 MiB
+    assert "full_table" not in g._cache
