@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParseError
-from .groups import GroupModel, make_cyclic, make_from_table, make_product
+from .groups import (GroupModel, make_cyclic, make_from_table, make_product,
+                     require_dense_order)
 from .sumset import Subset
 
 
@@ -223,7 +224,10 @@ def pseudometric_csv(table, path: str):
     """Dense rational CSV dump: one 'numerator/denominator' pair per cell.
 
     Rows are built one at a time from the norm vector, so the dump never
-    holds the N x N table."""
+    holds the N x N table.  N^2 cells of text are still written, so above
+    DENSE_ORDER_LIMIT it raises PreconditionError("order limit") before
+    the file is opened."""
+    require_dense_order(table.group.order)
     den = table.den
     with open(path, "w") as f:
         for i in range(table.group.order):

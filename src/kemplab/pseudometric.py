@@ -256,49 +256,63 @@ def gamma_linearity(d: PseudometricTable, gamma) -> LinearityReport:
     over all triples with d12 + d23 < rho - gamma.
 
     Left-invariant tables reduce triples to pairs (u, v) =
-    (g1^-1 g2, g2^-1 g3), which makes the scan exhaustive at N^2 cost.
-    The u rows are scanned in blocks of about LINEARITY_BLOCK pairs, so
-    the extra memory is O(LINEARITY_BLOCK), not N^2; the worst triple is
-    the first worst pair in row-major order.  A block's products are a
-    slice of the model's memoized table when it has one (order <=
-    EXHAUSTIVE_LIMIT) and ``mul_arr`` products otherwise.
+    (g1^-1 g2, g2^-1 g3), and only the pairs inside the window
+    ||u|| + ||v|| < rho - gamma are read.  With the elements in stable
+    norm order, row u's pairs in the window are the first
+    c_u = #{v : ||v|| < rho - gamma - ||u||} elements, and c_u does not
+    increase along the order, so the rows are scanned in norm order, in
+    blocks of at most LINEARITY_BLOCK pairs (a row wider than that is a
+    block of its own) sized by their first row, up to the first row with
+    c_u = 0.  The extra memory is O(LINEARITY_BLOCK), not N^2.  A
+    block's products are gathered from the model's memoized table when
+    it has one (order <= EXHAUSTIVE_LIMIT) and are ``mul_arr`` products
+    otherwise.  The counts and the worst value do not depend on the
+    order; the worst triple is the first worst pair in row-major (u, v)
+    index order, the least u N + v among the pairs that reach it.
     """
     gamma = Fraction(gamma)
     if gamma < 0:
         raise PreconditionError("gamma >= 0")
     g = d.group
     n = g.order
-    den = d.den
-    worst_num = 0
-    worst_triple = None
-    checked = 0
-    violations = 0
     norms = d.norm_num
-    idx = g.elements()
+    order = np.argsort(norms, kind="stable")
+    sn = norms[order]
     gamma_cut = d.cut(gamma)
-    # (nu + nv)/den < rho - gamma iff nu + nv < radius_num - cut(gamma)
-    window = d.radius_num - gamma_cut
-    rows = max(1, LINEARITY_BLOCK // n)
+    # (nu + nv)/den < rho - gamma iff nu + nv < radius_num - cut(gamma);
+    # no pair has nu + nv < 2 min(norm), which keeps the window in int64
+    window = max(d.radius_num - gamma_cut, 2 * int(sn[0]))
+    widths = np.searchsorted(sn, window - sn, "left")
+    live = int(np.count_nonzero(widths))
     table = g.small_table()
-    for start in range(0, n, rows):
-        us = idx[start:start + rows]
-        pn = norms[g.mul_arr(us[:, None], idx[None, :]) if table is None
-                   else table[start:start + rows]]
-        nu = norms[us, None]
-        sums = nu + norms
+    worst_num, worst_key = 0, None
+    checked = violations = 0
+    start = 0
+    while start < live:
+        width = int(widths[start])
+        stop = min(live, start + max(1, LINEARITY_BLOCK // width))
+        us, vs = order[start:stop], order[:width]
+        pn = norms[table[us[:, None], vs] if table is not None
+                   else g.mul_arr(us[:, None], vs[None, :])]
+        nu, nv = sn[start:stop, None], sn[:width]
+        sums = nu + nv
         keep = sums < window
-        if not keep.any():
-            continue
-        dev = np.minimum(np.abs(pn - sums), np.abs(pn - np.abs(nu - norms)))
+        dev = np.minimum(np.abs(pn - sums), np.abs(pn - np.abs(nu - nv)))
         dev = np.where(keep, dev, -1)
-        checked += int(keep.sum())
+        checked += int(np.count_nonzero(keep))
         violations += int(np.count_nonzero(dev > gamma_cut))
-        k = int(dev.argmax())
-        if dev.flat[k] > worst_num:
-            worst_num = int(dev.flat[k])
-            u, v = int(us[k // n]), k % n
-            worst_triple = (g.identity, u, g.mul(u, v))
-    return LinearityReport(worst_num <= gamma_cut, Fraction(worst_num, den),
+        top = int(dev.max())
+        if top > 0 and top >= worst_num:
+            r, c = np.nonzero(dev == top)
+            key = int((us[r] * n + vs[c]).min())
+            if top > worst_num or key < worst_key:
+                worst_num, worst_key = top, key
+        start = stop
+    worst_triple = None
+    if worst_key is not None:
+        u, v = divmod(worst_key, n)
+        worst_triple = (g.identity, u, g.mul(u, v))
+    return LinearityReport(worst_num <= gamma_cut, Fraction(worst_num, d.den),
                            worst_triple, checked, violations)
 
 
@@ -743,43 +757,63 @@ def _reconstruct(layers, prev_depth, meta):
 _HALF = 0xFFFFFFFF
 
 
-def _choice_rows(bitgen, carry: list, n: int, rows: int) -> np.ndarray:
-    """``rows`` consecutive ``Generator.choice(n, 8, replace=False)``
-    draws from the stream of ``bitgen``, as one (rows, 8) int64 array.
+def _choice_rows(streams, n: int) -> np.ndarray:
+    """Consecutive ``Generator.choice(n, 8, replace=False)`` draws from
+    several PCG64 streams, as one (rows, 8) int64 array.
 
-    For a sample of 8, numpy's choice is Floyd's algorithm (draws in
-    [0, j] for j = n-8..n-1, taking j when the draw is already chosen)
-    followed by a Fisher-Yates shuffle (draws in [0, i] for i = 7..1),
-    and each bounded draw on range r is Lemire's multiply-shift on one
-    32-bit half u of a 64-bit output, low half first: floor(u r / 2^32),
-    rejected (taking the next half) when (u r) mod 2^32 < (2^32 - r) mod r.
-    A row takes 15 halves unless a draw is rejected, so the layer reads
-    its outputs in one ``random_raw`` call and runs the 15 steps as
-    column operations.  From the first row with a rejected draw on, the
-    layer is finished one draw at a time from the same halves.
-    ``carry`` holds the unread high half (at most one) between calls
-    and is updated in place.
+    ``streams`` lists ``(bitgen, carry, rows)``: ``rows`` draws from the
+    stream of ``bitgen``, and the streams' rows follow one another in
+    list order.  For a sample of 8, numpy's choice is Floyd's algorithm
+    (draws in [0, j] for j = n-8..n-1, taking j when the draw is already
+    chosen) followed by a Fisher-Yates shuffle (draws in [0, i] for
+    i = 7..1), and each bounded draw on range r is Lemire's
+    multiply-shift on one 32-bit half u of a 64-bit output, low half
+    first: floor(u r / 2^32), rejected (taking the next half) when
+    (u r) mod 2^32 < (2^32 - r) mod r.  A row takes 15 halves unless a
+    draw is rejected, so each stream is read in one ``random_raw`` call
+    and the 15 steps run once, as column operations over the rows of
+    every stream.  From a stream's first row with a rejected draw on,
+    its rows are redone one draw at a time from the same halves.
+    ``carry`` holds a stream's unread high half (at most one) between
+    calls and is updated in place.
     """
-    words = bitgen.random_raw((rows * 15 - len(carry) + 1) // 2)
-    halves = np.concatenate([np.array(carry, dtype=np.uint64),
-                             words.astype("<u8").view("<u4")])
+    halves = []
+    for bitgen, carry, rows in streams:
+        words = bitgen.random_raw((rows * 15 - len(carry) + 1) // 2)
+        halves.append(np.concatenate([np.array(carry, dtype=np.uint64),
+                                      words.astype("<u8").view("<u4")]))
     ranges = np.array(list(range(n - 7, n + 1)) + list(range(8, 1, -1)), dtype=np.uint64)
-    m = halves[:rows * 15].reshape(rows, 15) * ranges
-    rejected = (m & _HALF) < (2**32 - ranges) % ranges
-    first = int(rejected.argmax()) // 15 if rejected.any() else rows
+    m = np.concatenate([h[:rows * 15] for h, (_, _, rows) in zip(halves, streams)])
+    m = m.reshape(-1, 15) * ranges
+    total = len(m)
     # the batch works on (step, row) arrays, so each step is one contiguous row
-    draws = (m[:first].T >> 32).astype(np.int64)
+    draws = (m.T >> 32).astype(np.int64)
     sel = draws[:8].copy()
     for k in range(1, 8):
         np.copyto(sel[k], n - 8 + k, where=(sel[:k] == sel[k]).any(axis=0))
     flat = sel.reshape(-1)
-    for i, j in zip(range(7, 0, -1), draws[8:] * first + np.arange(first)):
+    for i, j in zip(range(7, 0, -1), draws[8:] * total + np.arange(total)):
         swap = flat.take(j)
         flat.put(j, sel[i])
         sel[i] = swap
-    pick = np.empty((rows, 8), dtype=np.int64)
-    pick[:first] = sel.T
-    tail = halves[first * 15:].tolist()
+    pick = sel.T
+    rejected = ((m & _HALF) < (2**32 - ranges) % ranges).any(axis=1)
+    end = 0
+    for h, (bitgen, carry, rows) in zip(halves, streams):
+        start, end = end, end + rows
+        rej = rejected[start:end]
+        first = int(rej.argmax()) if rej.any() else rows
+        tail = h[first * 15:].tolist()
+        if first < rows:
+            pick[start + first:end] = _choice_scalar(bitgen, tail, n, rows - first)
+        carry[:] = tail
+    return pick
+
+
+def _choice_scalar(bitgen, tail: list, n: int, rows: int) -> list:
+    """``rows`` choice(n, 8, replace=False) draws, one bounded draw at a
+    time, reading the halves in ``tail`` before the stream of ``bitgen``;
+    the halves read are removed from ``tail``."""
     pos = 0
 
     def draw(r):
@@ -793,7 +827,8 @@ def _choice_rows(bitgen, carry: list, n: int, rows: int) -> np.ndarray:
             if u & _HALF >= (2**32 - r) % r:
                 return u >> 32
 
-    for row in range(first, rows):
+    out = []
+    for _ in range(rows):
         chosen = []
         for j in range(n - 8, n):
             v = draw(j + 1)
@@ -801,33 +836,39 @@ def _choice_rows(bitgen, carry: list, n: int, rows: int) -> np.ndarray:
         for i in range(7, 0, -1):
             k = draw(i + 1)
             chosen[i], chosen[k] = chosen[k], chosen[i]
-        pick[row] = chosen
-    carry[:] = tail[pos:]
-    return pick
+        out.append(chosen)
+    del tail[:pos]
+    return out
 
 
 def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
     """Seeded beam search; the result is a certified upper bound.
 
-    Each depth extends every kept path by 8 letters drawn without
-    replacement (the whole alphabet when it has at most 8) and keeps the
-    BEAM_WIDTH candidates of least |t| + 2 ||product||, ties broken by
-    the path tuple.  A layer is held as arrays: ``paths`` (beam x depth),
-    ``prod``, the signed weights ``t`` and ``rank``, each path's
-    lexicographic rank in the beam.  Candidate paths are distinct and of
+    Each of BEAM_RESTARTS restarts extends, at each depth, every kept
+    path by 8 letters drawn without replacement (the whole alphabet when
+    it has at most 8) and keeps the BEAM_WIDTH candidates of least
+    |t| + 2 ||product||, ties broken by the path tuple; a restart stops
+    at the first depth that leaves it no candidate.  The restarts run as
+    one batch: a layer is held as arrays over the rows of every live
+    restart, grouped by restart and in beam order within a group:
+    ``paths`` (rows x depth), ``prod``, the signed weights ``t``,
+    ``restart`` and ``rank``, which orders the paths of one restart
+    lexicographically.  Candidate paths of a restart are distinct and of
     one length, so their tuple order is the order of (parent rank,
-    letter).  Weights are exact int64 numerators.
+    letter).  Weights are exact int64 numerators.  The result is the
+    least (|t|, path) over the identity-product candidates of every
+    restart and depth.
 
     The draws are defined as numpy's: restart r seeds
-    ``default_rng(rng_master.integers(0, 2**63 - 1))`` and each kept
-    path, in beam order, takes the 8 letter positions that
-    ``choice(len(alphabet), 8, replace=False)`` would return on that
-    generator.  ``_choice_rows`` computes a whole layer of them from the
-    raw PCG64 stream; a test pins it to the installed numpy's
-    ``Generator.choice``, so a change in numpy's sampler fails that one
-    test before it moves any seeded witness.  Windows and products are
-    gathers from the model's memoized table up to EXHAUSTIVE_LIMIT and
-    ``mul_arr`` products above it.
+    ``default_rng(rng_master.integers(0, 2**63 - 1))`` (the seeds drawn
+    in restart order) and each kept path, in beam order, takes the 8
+    letter positions that ``choice(len(alphabet), 8, replace=False)``
+    would return on that generator.  ``_choice_rows`` computes a whole
+    layer of them from the raw PCG64 streams; a test pins it to the
+    installed numpy's ``Generator.choice``, so a change in numpy's
+    sampler fails that one test before it moves any seeded witness.
+    Windows and products are gathers from the model's memoized table up
+    to EXHAUSTIVE_LIMIT and ``mul_arr`` products above it.
     """
     d = ctx.d
     g = d.group
@@ -835,6 +876,8 @@ def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
     table = g.small_table()
     mul = g.mul_arr if table is None else (lambda xs, ys: table[xs, ys])
     rng_master = np.random.default_rng(seed)
+    streams = [(np.random.default_rng(rng_master.integers(0, 2**63 - 1)).bit_generator, [])
+               for _ in range(BEAM_RESTARTS)]
     letters, weight = _letters(ctx, lam)
     alphabet = np.array(sorted(letters, key=lambda a: (-norms.item(a), a)), dtype=np.int64)
     signed = np.array([weight[a] for a in alphabet.tolist()], dtype=np.int64)
@@ -843,42 +886,51 @@ def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
         raise PreconditionError("beam weights", "loop weights overflow int64")
     cut = d.cut(lam)
     n_letters = len(alphabet)
+    width = min(BEAM_WIDTH, n_letters)
+    restart = np.repeat(np.arange(BEAM_RESTARTS), width)
+    paths = np.tile(alphabet[:width], BEAM_RESTARTS)[:, None]
+    prod, t = paths[:, 0], np.tile(signed[:width], BEAM_RESTARTS)
+    rank = np.argsort(np.argsort(prod))
     best = None
-    for r in range(BEAM_RESTARTS):
-        bitgen = np.random.default_rng(rng_master.integers(0, 2**63 - 1)).bit_generator
-        carry = []
-        paths = alphabet[:BEAM_WIDTH, None]
-        prod, t = paths[:, 0], signed[:BEAM_WIDTH]
-        rank = np.argsort(np.argsort(prod))
-        for _depth in range(2, n_max + 1):
-            if n_letters <= 8:
-                pick = np.broadcast_to(np.arange(n_letters), (len(paths), n_letters))
-            else:
-                pick = _choice_rows(bitgen, carry, n_letters, len(paths))
-            cand = alphabet[pick]
-            # windows of length 2..4 ending at the new letter leave the ball
-            ok = np.ones(cand.shape, dtype=bool)
-            w = cand
-            for k in range(1, min(paths.shape[1], 3) + 1):
-                w = mul(paths[:, -k, None], w)
-                ok &= norms[w] > cut
-            rows, cols = np.nonzero(ok)
-            if rows.size == 0:
-                break
-            a = cand[rows, cols]
-            new_prod = mul(prod[rows], a)
-            nt = t[rows] + signed[pick[rows, cols]]
-            lex = rank[rows] * g.order + a
-            loops = np.flatnonzero(new_prod == g.identity)
-            if loops.size:
-                i = loops[np.lexsort((lex[loops], np.abs(nt[loops])))[0]]
-                key = (abs(int(nt[i])), tuple(paths[rows[i]].tolist()) + (int(a[i]),))
-                if best is None or key < best:
-                    best = key
-            keep = np.lexsort((lex, np.abs(nt) + 2 * norms[new_prod]))[:BEAM_WIDTH]
-            paths = np.concatenate([paths[rows[keep]], a[keep, None]], axis=1)
-            prod, t = new_prod[keep], nt[keep]
-            rank = np.argsort(np.argsort(lex[keep]))
+    for _depth in range(2, n_max + 1):
+        if n_letters <= 8:
+            pick = np.broadcast_to(np.arange(n_letters), (len(paths), n_letters))
+        else:
+            live, counts = np.unique(restart, return_counts=True)
+            pick = _choice_rows([(*streams[r], k) for r, k in
+                                 zip(live.tolist(), counts.tolist())], n_letters)
+        cand = alphabet[pick]
+        # windows of length 2..4 ending at the new letter leave the ball
+        ok = np.ones(cand.shape, dtype=bool)
+        w = cand
+        for k in range(1, min(paths.shape[1], 3) + 1):
+            w = mul(paths[:, -k, None], w)
+            ok &= norms[w] > cut
+        rows, cols = np.nonzero(ok)
+        if rows.size == 0:
+            break
+        a = cand[rows, cols]
+        new_prod = mul(prod[rows], a)
+        nt = t[rows] + signed[pick[rows, cols]]
+        lex = rank[rows] * g.order + a
+        group = restart[rows]
+        loops = np.flatnonzero(new_prod == g.identity)
+        if loops.size:
+            # the loops of least |t|; each restart's least path, then tuples
+            loops = loops[np.abs(nt[loops]) == np.abs(nt[loops]).min()]
+            loops = loops[np.lexsort((lex[loops], group[loops]))]
+            firsts = loops[np.unique(group[loops], return_index=True)[1]]
+            key = min((abs(int(nt[i])), tuple(paths[rows[i]].tolist()) + (int(a[i]),))
+                      for i in firsts)
+            if best is None or key < best:
+                best = key
+        # each restart's first BEAM_WIDTH in (score, lex) order
+        order = np.lexsort((lex, np.abs(nt) + 2 * norms[new_prod], group))
+        ordered = group[order]
+        keep = order[np.arange(order.size) - np.searchsorted(ordered, ordered) < BEAM_WIDTH]
+        paths = np.concatenate([paths[rows[keep]], a[keep, None]], axis=1)
+        prod, t, restart = new_prod[keep], nt[keep], group[keep]
+        rank = np.argsort(np.argsort(lex[keep]))
     if best is None:
         return None
     return (Fraction(best[0], d.den), best[1])

@@ -9,7 +9,9 @@ import pytest
 from kemplab import Subset, cli, groups, make_cyclic, make_from_table, make_product, \
     symmetric_group_table
 from kemplab.cli import main
-from kemplab.io import load_group, load_subset, save_group, save_subset
+from kemplab.errors import PreconditionError
+from kemplab.io import load_group, load_subset, pseudometric_csv, save_group, save_subset
+from kemplab.pseudometric import PseudometricTable
 
 
 PLANT_SPEC = """\
@@ -211,3 +213,12 @@ def test_cmd_pseudo_csv_and_report(tmp_path):
     assert rep["witness"] == ["right invariance", 1]
     assert (rep["linear"], rep["worst_linearity"]) == (True, "0/1")
     assert (rep["monotone"], rep["worst_monotonicity"]) == (False, "1/3")
+
+
+def test_csv_dump_refuses_an_order_above_the_limit(tmp_path):
+    # Z2 x Z2049 would take 4098^2 cells of text
+    g = make_product(make_cyclic(2), make_cyclic(groups.DENSE_ORDER_LIMIT // 2 + 1))
+    table = PseudometricTable(g, np.zeros(g.order, dtype=np.int64), g.order)
+    with pytest.raises(PreconditionError, match="order limit"):
+        pseudometric_csv(table, str(tmp_path / "t.csv"))
+    assert not (tmp_path / "t.csv").exists()

@@ -333,7 +333,8 @@ def test_golden_linearity_two_arc():
     assert _linearity_fields(rep) == (False, Fraction(1, 20), (0, 9, 159), 5183, 3780)
 
 
-def test_golden_linearity_noisy_box_z60_squared():
+def noisy_box_z60_squared():
+    """The box [0, 30)^2 in Z60 x Z60 with 12 cells moved out of it."""
     g = make_product(make_cyclic(60), make_cyclic(60))
     rng = np.random.default_rng(2024)
     inside = np.zeros(3600, dtype=bool)
@@ -342,8 +343,11 @@ def test_golden_linearity_noisy_box_z60_squared():
     add = rng.choice(np.flatnonzero(~inside), 12, replace=False)
     inside[drop] = False
     inside[add] = True
-    d = pseudometric_from_set(g, Subset.from_indices(g, np.flatnonzero(inside)))
-    rep = gamma_linearity(d, 0)
+    return pseudometric_from_set(g, Subset.from_indices(g, np.flatnonzero(inside)))
+
+
+def test_golden_linearity_noisy_box_z60_squared():
+    rep = gamma_linearity(noisy_box_z60_squared(), 0)
     assert _linearity_fields(rep) == (False, Fraction(73, 600), (0, 489, 3312),
                                       842961, 835250)
 
@@ -605,7 +609,9 @@ def test_linearity_at_a_gamma_with_a_huge_denominator():
 
 def _linearity_oracle(d, gamma):
     """Every triple of the dense matrix, exact integers: (worst numerator,
-    triples checked, triples beyond gamma)."""
+    triples checked, triples beyond gamma, first worst pair).  The pair
+    is the first (u, v) in row-major index order whose triple
+    (identity, u, u v) reaches the worst value, or None when it is 0."""
     dense = d.dense_num()
     p, q = gamma.numerator, gamma.denominator
     d12 = dense[:, :, None]
@@ -614,9 +620,13 @@ def _linearity_oracle(d, gamma):
     sums = d12 + d23
     # (d12 + d23)/den < rho - p/q, times q * den
     keep = q * sums < q * d.radius_num - p * d.den
-    dev = np.minimum(np.abs(d13 - sums), np.abs(d13 - np.abs(d12 - d23)))
-    dev = np.where(keep, dev, -1)
-    return int(max(dev.max(), 0)), int(keep.sum()), int((q * dev > p * d.den).sum())
+    dev = np.where(keep, np.minimum(np.abs(d13 - sums), np.abs(d13 - np.abs(d12 - d23))), -1)
+    worst = int(max(dev.max(), 0))
+    g = d.group
+    e = g.identity
+    pair = next(((u, v) for u in range(g.order) for v in range(g.order)
+                 if dev[e, u, g.mul(u, v)] == worst), None) if worst else None
+    return worst, int(keep.sum()), int((q * dev > p * d.den).sum()), pair
 
 
 @settings(max_examples=60, deadline=None)
@@ -638,17 +648,17 @@ def test_linearity_scan_names_a_worst_triple_of_the_product_u_v():
 def check_linearity_scan(g, members):
     n = g.order
     d = pseudometric_from_set(g, Subset.from_indices(g, members))
-    dense = d.dense_num()
     # one block holds every row here; 25 pairs per block makes blocks of
-    # 2 rows (N = 12) or 4 rows (S3, whose last block is partial); a table
-    # limit of 0 takes the mul_arr products that orders above it use
+    # 25 // c rows, c the width of a block's first row (one row when it is
+    # wider than 25 pairs); a table limit of 0 takes the mul_arr products
+    # that orders above it use
     for block, limit, gamma in ((b, lim, gm) for b in (pseudometric.LINEARITY_BLOCK, 25)
                                 for lim in (groups.EXHAUSTIVE_LIMIT, 0)
                                 for gm in (Fraction(0), Fraction(1, n), Fraction(3, n))):
         with mock.patch.object(pseudometric, "LINEARITY_BLOCK", block), \
                 mock.patch.object(groups, "EXHAUSTIVE_LIMIT", limit):
             rep = gamma_linearity(d, gamma)
-        worst, checked, violations = _linearity_oracle(d, gamma)
+        worst, checked, violations, pair = _linearity_oracle(d, gamma)
         assert rep.worst_violation == Fraction(worst, d.den)
         assert rep.holds == (rep.worst_violation <= gamma)
         # the pair scan fixes g1 = identity; left invariance gives N triples per pair
@@ -656,9 +666,18 @@ def check_linearity_scan(g, members):
         if worst == 0:
             assert rep.worst_triple is None
         else:
-            g1, g2, g3 = rep.worst_triple
-            d12, d23, d13 = (int(dense[x, y]) for x, y in ((g1, g2), (g2, g3), (g1, g3)))
-            assert min(abs(d13 - d12 - d23), abs(d13 - abs(d12 - d23))) == worst
+            u, v = pair
+            assert rep.worst_triple == (g.identity, u, g.mul(u, v))
+
+
+def test_linearity_scan_names_the_first_worst_pair_in_index_order():
+    # on Z12 with A = {0, 4, 8, 10} the worst deviation ties between pairs
+    # whose norm order and index order disagree; the scan reads rows in
+    # norm order and must still name (0, 2, 6), the first in (u, v) order
+    g = PROPERTY_MODELS["cyclic"]
+    check_linearity_scan(g, [0, 4, 8, 10])
+    d = pseudometric_from_set(g, Subset.from_indices(g, [0, 4, 8, 10]))
+    assert gamma_linearity(d, 0).worst_triple == (0, 2, 6)
 
 
 # Beam outputs frozen before the beam held its layers as arrays: the working
@@ -718,6 +737,83 @@ def test_golden_alpha_beam_on_s4_reads_products_in_path_order(limit):
         for lam, want in ((Fraction(5, 24), (Fraction(1, 24), (2, 20, 18, 13, 18, 23))),
                           (Fraction(1, 4), (Fraction(5, 12), (9, 23, 18, 18, 23, 9)))):
             assert _alpha_beam(SignContext(d, 0), lam, _loop_bounds(d, lam)[2], 0) == want
+
+
+def naive_alpha_beam(ctx, lam, n_max, seed):
+    """The beam one restart after another, on tuples and scalar products,
+    each kept path drawing its letters with ``Generator.choice``.
+
+    Returns the beam's result and, per restart, the first depth that left
+    it no candidate (n_max + 1 when it ran to the end)."""
+    d = ctx.d
+    g = d.group
+    norms = d.norm_num
+    letters, weight = pseudometric._letters(ctx, lam)
+    alphabet = sorted(letters, key=lambda a: (-int(norms[a]), a))
+    cut = d.cut(lam)
+    rng_master = np.random.default_rng(seed)
+    best, stops = None, []
+    for _ in range(pseudometric.BEAM_RESTARTS):
+        rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
+        beam = [((a,), a, weight[a]) for a in alphabet[:pseudometric.BEAM_WIDTH]]
+        stop = n_max + 1
+        for depth in range(2, n_max + 1):
+            cands = []
+            for path, p, t in beam:
+                picks = (range(len(alphabet)) if len(alphabet) <= 8
+                         else rng.choice(len(alphabet), 8, replace=False))
+                for i in picks:
+                    a = alphabet[int(i)]
+                    w, ok = a, True
+                    for b in reversed(path[-3:]):
+                        w = g.mul(b, w)
+                        ok = ok and int(norms[w]) > cut
+                    if ok:
+                        cands.append((path + (a,), g.mul(p, a), t + weight[a]))
+            if not cands:
+                stop = depth
+                break
+            for path, p, t in cands:
+                if p == g.identity and (best is None or (abs(t), path) < best):
+                    best = (abs(t), path)
+            beam = sorted(cands, key=lambda c: (abs(c[2]) + 2 * int(norms[c[1]]),
+                                                c[0]))[:pseudometric.BEAM_WIDTH]
+        stops.append(stop)
+    return (None if best is None else (Fraction(best[0], d.den), best[1])), stops
+
+
+BEAM_ORACLE_CASES = [
+    # (model, A, lambdas); every lambda gives more than 8 letters
+    (make_cyclic(60), list(range(25)), (Fraction(1, 10), Fraction(1, 5), Fraction(19, 60))),
+    (make_product(make_cyclic(12), make_cyclic(4)), list(range(20)),
+     (Fraction(1, 12), Fraction(1, 6), Fraction(1, 4))),
+    (make_product(make_cyclic(48), make_cyclic(5)), list(range(20)), (Fraction(1, 24),)),
+    (make_from_table(symmetric_group_table(4)[0], "S4"), [0, 4, 6, 9, 10, 12, 13, 14, 15],
+     (Fraction(5, 24), Fraction(1, 4))),
+    (make_product(make_from_table(symmetric_group_table(3)[0], "S3"), make_cyclic(10)),
+     [x for x in range(60) if x % 10 < 4], (Fraction(1, 5),)),
+]
+
+
+def test_lockstep_beam_matches_restarts_run_one_by_one():
+    # 30 seeded inputs on cyclic, product and table models; the search is
+    # cut at 8 layers; on Z60 at lambda 19/60 and on S4 at lambda 1/4 the
+    # restarts stop at different depths, so a restart leaves the batch
+    # while others still draw
+    staggered = 0
+    inputs = 0
+    for g, members, lams in BEAM_ORACLE_CASES:
+        d = pseudometric_from_set(g, Subset.from_indices(g, members))
+        ctx = SignContext(d, 0)
+        for lam in lams:
+            n_max = min(_loop_bounds(d, lam)[2], 8)
+            for seed in (0, 1, 2):
+                want, stops = naive_alpha_beam(ctx, lam, n_max, seed)
+                assert _alpha_beam(ctx, lam, n_max, seed) == want
+                staggered += len(set(stops)) > 1
+                inputs += 1
+    assert inputs == 30
+    assert staggered >= 1
 
 
 def test_alpha_beam_weights_are_exact_up_to_the_int64_guard():
@@ -786,7 +882,7 @@ def choice_layers(make_bitgen, n, layers=(64, 61, 64)):
     rng = np.random.Generator(make_bitgen())
     want = np.array([rng.choice(n, size=8, replace=False) for _ in range(sum(layers))])
     bitgen, carry = make_bitgen(), []
-    got = np.concatenate([pseudometric._choice_rows(bitgen, carry, n, rows)
+    got = np.concatenate([pseudometric._choice_rows([(bitgen, carry, rows)], n)
                           for rows in layers])
     return got, want
 
@@ -810,6 +906,41 @@ def test_batched_draws_redraw_a_rejected_half(phase, word, earlier):
     assert pcg64_emitting(word, earlier).random_raw(earlier + 1)[-1] == word
     got, want = choice_layers(lambda: pcg64_emitting(word, earlier), 14)
     assert np.array_equal(got, want)
+
+
+def test_batched_draws_of_several_streams_are_generator_choice():
+    # three streams of 64, 61 and 3 rows read as one batch, three layers
+    # running; the middle stream rejects a half in its first row, so its
+    # rows are redone one draw at a time while the others stay batched,
+    # and each stream carries its own unread half to the next layer
+    makers = [lambda: np.random.PCG64(3),
+              lambda: pcg64_emitting(0xDEADBEEF00000000),
+              lambda: np.random.PCG64(11)]
+    sizes = (64, 61, 3)
+    n = 14
+    rngs = [np.random.Generator(make()) for make in makers]
+    streams = [(make(), []) for make in makers]
+    for _layer in range(3):
+        want = np.array([rng.choice(n, size=8, replace=False)
+                         for rng, rows in zip(rngs, sizes) for _ in range(rows)])
+        got = pseudometric._choice_rows([(bitgen, carry, rows) for (bitgen, carry), rows
+                                         in zip(streams, sizes)], n)
+        assert np.array_equal(got, want)
+
+
+def test_linearity_scan_memory_stays_bounded():
+    # N = 3600 takes the mul_arr products; an N x N int64 array here is
+    # about 99 MiB, a block of LINEARITY_BLOCK pairs a few hundred KiB
+    import tracemalloc
+    d = noisy_box_z60_squared()
+    tracemalloc.start()
+    try:
+        rep = gamma_linearity(d, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.checked == 842961
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("kind", sorted(PROPERTY_MODELS))
