@@ -22,12 +22,17 @@ import numpy as np
 from .errors import AxiomViolation, GroupMismatch, NotNormal, PreconditionError
 
 # Exhaustive axiom/identity scans are affordable up to this order;
-# larger models fall back to seeded sampling.  Up to it the full
-# multiplication table is also memoized on the model (2 MiB at 512).
+# larger models fall back to seeded sampling.  Up to it a product model
+# memoizes its multiplication table (2 MiB at 512) and reads every
+# product from it.
 EXHAUSTIVE_LIMIT = 512
 # Largest order for which an N x N int64 array (a multiplication table,
 # a dense pseudometric) is built: 128 MiB at 4096.
 DENSE_ORDER_LIMIT = 4096
+# Pair scans (product sets, the linearity window, table builds) take
+# their (a, b) pairs in blocks of at most this many, so their extra
+# memory is bounded.
+PAIR_BLOCK = 2**14
 
 
 class GroupModel:
@@ -39,13 +44,16 @@ class GroupModel:
     The index of (x_1, ..., x_k) is the mixed-radix number
     sum x_i * stride_i, stride_i the product of the later factor orders,
     so (a, b) in G x H sits at ``a * |H| + b`` however the product was
-    nested.  Every operation is one loop over digits; a one-factor model
-    takes the direct path.  ``order``, ``identity`` and ``abelian`` are
-    computed once from the factors; ``kind`` is ``cyclic`` or ``table``
-    for one factor and ``product`` otherwise.  Instances are immutable
-    and all operations on them are pure; ``_cache`` memoizes data derived
-    from the model (translate rows, coset partitions, quotients, the
-    full table of a small model) and is freed with it.
+    nested.  Only the model decides how a product is computed: one
+    factor takes the direct path; a product of order <= EXHAUSTIVE_LIMIT
+    (read at call time) reads every product from its memoized
+    ``full_table``; a larger one loops over digits, as inverses do.
+    ``order``, ``identity`` and ``abelian`` are computed once from the
+    factors; ``kind`` is ``cyclic`` or ``table`` for one factor and
+    ``product`` otherwise.  Instances are immutable and all operations
+    on them are pure; ``_cache`` memoizes data derived from the model
+    (the full table of a small model, coset partitions, quotients) and
+    is freed with it.
     """
 
     __slots__ = ("label", "factors", "order", "identity", "abelian", "_digits", "_cache")
@@ -73,21 +81,14 @@ class GroupModel:
 
     # -- core operations ------------------------------------------------
 
-    # A cyclic digit is (a // s + b // s) % n: the outer mod also drops
-    # the higher digits, so a // s needs no mod of its own.
-
     def mul(self, a: int, b: int) -> int:
         fs = self._digits
         if len(fs) == 1:
             n, _, t, _ = fs[0]
             return (a + b) % n if t is None else int(t[a, b])
-        out = 0
-        for n, s, t, _ in fs:
-            if t is None:
-                out += (a // s + b // s) % n * s
-            else:
-                out += int(t[a // s % n, b // s % n]) * s
-        return out
+        if self.order <= EXHAUSTIVE_LIMIT:
+            return self.full_table().item(a, b)
+        return int(self._digit_products(a, b))
 
     def inv(self, a: int) -> int:
         fs = self._digits
@@ -105,8 +106,15 @@ class GroupModel:
         if len(fs) == 1:
             n, _, t, _ = fs[0]
             return (xs + ys) % n if t is None else t[xs, ys]
+        if self.order <= EXHAUSTIVE_LIMIT:
+            return self.full_table()[xs, ys]
+        return self._digit_products(xs, ys)
+
+    def _digit_products(self, xs, ys) -> np.ndarray:
+        # A cyclic digit is (a // s + b // s) % n: the outer mod also drops
+        # the higher digits, so a // s needs no mod of its own.
         out = 0
-        for n, s, t, _ in fs:
+        for n, s, t, _ in self._digits:
             if t is None:
                 out += (xs // s + ys // s) % n * s
             else:
@@ -195,10 +203,11 @@ class GroupModel:
         """The read-only multiplication table (memory: order^2 ints).
 
         A one-factor table model returns its stored table; any other
-        model builds it row by row, so the only N x N array is the
-        result; above DENSE_ORDER_LIMIT it raises PreconditionError
-        ("order limit") first.  Up to EXHAUSTIVE_LIMIT the table is
-        memoized in ``_cache``.
+        model computes it from its digits in blocks of rows holding at
+        most PAIR_BLOCK products, so the only N x N array is the result;
+        above DENSE_ORDER_LIMIT it raises PreconditionError ("order
+        limit") first.  Up to EXHAUSTIVE_LIMIT the table is memoized in
+        ``_cache``.
         """
         fs = self.factors
         if len(fs) == 1 and fs[0][1] is not None:
@@ -209,18 +218,13 @@ class GroupModel:
         require_dense_order(self.order)
         idx = self.elements()
         table = np.empty((self.order, self.order), dtype=np.int64)
-        for a in range(self.order):
-            table[a] = self._products(a, idx)
+        rows = max(1, PAIR_BLOCK // self.order)
+        for a in range(0, self.order, rows):
+            table[a:a + rows] = self._digit_products(idx[a:a + rows, None], idx)
         table.setflags(write=False)
         if self.order <= EXHAUSTIVE_LIMIT:
             self._cache["full_table"] = table
         return table
-
-    def small_table(self) -> Optional[np.ndarray]:
-        """The memoized full table when order <= EXHAUSTIVE_LIMIT, else
-        None; product-heavy scans gather from it instead of recomputing
-        the mixed-radix digits, and use ``mul_arr`` above the limit."""
-        return self.full_table() if self.order <= EXHAUSTIVE_LIMIT else None
 
 
 def require_dense_order(order: int):

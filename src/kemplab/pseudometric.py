@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (AmbiguousSign, EmptyInput, MinimumResolution,
                      PreconditionError)
+from . import groups
 from .groups import (GroupModel, Subgroup, cayley_bfs, cayley_word,
                      distinct_cyclic_subgroups, powers, require_dense_order,
                      subgroup_from_members)
@@ -36,7 +37,6 @@ TRIANGLE_EXHAUSTIVE_LIMIT = 256
 ALPHA_STATE_CAP = 2_000_000     # exhaustive alpha sweep: states before giving up
 BEAM_WIDTH = 64                 # beam alpha search: kept paths per depth
 BEAM_RESTARTS = 8               # beam alpha search: seeded restarts
-LINEARITY_BLOCK = 2**14         # gamma_linearity: (u, v) pairs scanned per block
 
 
 class PseudometricTable:
@@ -163,9 +163,12 @@ def verify_pseudometric(g: GroupModel, num: np.ndarray, sample_seed: int = 0,
     left-invariant pair reduction on row ``num[identity]`` (exhaustive
     under invariance) plus sampled raw triples.  Every other scan reads
     ``num`` one row (or one 64-row block) at a time, so above that limit
-    the extra memory is O(N).
+    the extra memory is O(N).  Raises PreconditionError("shape") unless
+    ``num`` is N x N.
     """
     n = g.order
+    if np.shape(num) != (n, n):
+        raise PreconditionError("shape", f"got {np.shape(num)} for order {n}")
     idx = g.elements()
     norm_num = num[g.identity]
     witness = None
@@ -261,14 +264,13 @@ def gamma_linearity(d: PseudometricTable, gamma) -> LinearityReport:
     norm order, row u's pairs in the window are the first
     c_u = #{v : ||v|| < rho - gamma - ||u||} elements, and c_u does not
     increase along the order, so the rows are scanned in norm order, in
-    blocks of at most LINEARITY_BLOCK pairs (a row wider than that is a
-    block of its own) sized by their first row, up to the first row with
-    c_u = 0.  The extra memory is O(LINEARITY_BLOCK), not N^2.  A
-    block's products are gathered from the model's memoized table when
-    it has one (order <= EXHAUSTIVE_LIMIT) and are ``mul_arr`` products
-    otherwise.  The counts and the worst value do not depend on the
-    order; the worst triple is the first worst pair in row-major (u, v)
-    index order, the least u N + v among the pairs that reach it.
+    blocks of at most groups.PAIR_BLOCK pairs (a row wider than that is
+    a block of its own) sized by their first row, up to the first row
+    with c_u = 0.  The extra memory is O(PAIR_BLOCK), not N^2, and a
+    block's products are one ``mul_arr`` call.  The counts and the worst
+    value do not depend on the order; the worst triple is the first
+    worst pair in row-major (u, v) index order, the least u N + v among
+    the pairs that reach it.
     """
     gamma = Fraction(gamma)
     if gamma < 0:
@@ -284,16 +286,14 @@ def gamma_linearity(d: PseudometricTable, gamma) -> LinearityReport:
     window = max(d.radius_num - gamma_cut, 2 * int(sn[0]))
     widths = np.searchsorted(sn, window - sn, "left")
     live = int(np.count_nonzero(widths))
-    table = g.small_table()
     worst_num, worst_key = 0, None
     checked = violations = 0
     start = 0
     while start < live:
         width = int(widths[start])
-        stop = min(live, start + max(1, LINEARITY_BLOCK // width))
+        stop = min(live, start + max(1, groups.PAIR_BLOCK // width))
         us, vs = order[start:stop], order[:width]
-        pn = norms[table[us[:, None], vs] if table is not None
-                   else g.mul_arr(us[:, None], vs[None, :])]
+        pn = norms[g.mul_arr(us[:, None], vs)]
         nu, nv = sn[start:stop, None], sn[:width]
         sums = nu + nv
         keep = sums < window
@@ -867,14 +867,11 @@ def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
     layer of them from the raw PCG64 streams; a test pins it to the
     installed numpy's ``Generator.choice``, so a change in numpy's
     sampler fails that one test before it moves any seeded witness.
-    Windows and products are gathers from the model's memoized table up
-    to EXHAUSTIVE_LIMIT and ``mul_arr`` products above it.
+    Windows and products are ``mul_arr`` products.
     """
     d = ctx.d
     g = d.group
     norms = d.norm_num
-    table = g.small_table()
-    mul = g.mul_arr if table is None else (lambda xs, ys: table[xs, ys])
     rng_master = np.random.default_rng(seed)
     streams = [(np.random.default_rng(rng_master.integers(0, 2**63 - 1)).bit_generator, [])
                for _ in range(BEAM_RESTARTS)]
@@ -904,13 +901,13 @@ def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
         ok = np.ones(cand.shape, dtype=bool)
         w = cand
         for k in range(1, min(paths.shape[1], 3) + 1):
-            w = mul(paths[:, -k, None], w)
+            w = g.mul_arr(paths[:, -k, None], w)
             ok &= norms[w] > cut
         rows, cols = np.nonzero(ok)
         if rows.size == 0:
             break
         a = cand[rows, cols]
-        new_prod = mul(prod[rows], a)
+        new_prod = g.mul_arr(prod[rows], a)
         nt = t[rows] + signed[pick[rows, cols]]
         lex = rank[rows] * g.order + a
         group = restart[rows]

@@ -187,13 +187,11 @@ def spillover_suite(trials: int = 10_000, seed: int = 0) -> SuiteResult:
     worst_cont = Fraction(10)
     while done < trials:
         ka, kb = (int(x) for x in rng.integers(1, 30, 2))
-        a = Subset.from_indices(g, rng.choice(48, ka, replace=False))
-        b = Subset.from_indices(g, rng.choice(48, kb, replace=False))
-        pa = len(np.unique(a.indices() // 4))
-        pb = len(np.unique(b.indices() // 4))
-        if pa + pb >= 12:
+        xa = rng.choice(48, ka, replace=False)
+        xb = rng.choice(48, kb, replace=False)
+        if len(np.unique(xa // 4)) + len(np.unique(xb // 4)) >= 12:
             continue
-        res = spillover_bound(g, h, a, b)
+        res = spillover_bound(g, h, Subset.from_indices(g, xa), Subset.from_indices(g, xb))
         done += 1
         if not res.holds:
             failures += 1

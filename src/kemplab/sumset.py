@@ -6,9 +6,9 @@ kernels' boolean outputs become subsets without conversion.  ``mask``
 renders the vector as a Python int (bit i is element i), the form the
 subset files store.  ``product_set`` is the deliberately naive
 reference kernel; ``fast_product_set`` must agree with it bit for bit
-and gets there through row ORs or an FFT convolution whose output is
-thresholded exactly and re-verified wherever a bin lands near the 0/1
-boundary.
+and gets there through a blocked ``mul_arr`` scatter of the (a, b)
+pairs or an FFT convolution whose output is thresholded exactly and
+re-verified wherever a bin lands near the 0/1 boundary.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GroupMismatch, PreconditionError
+from . import groups
 from .groups import Arc, Character, GroupModel
-
-# Row-OR translate rows are cached only for groups up to this order.
-ROW_CACHE_LIMIT = 4096
 
 # FFT bins farther than this from an integer trigger exact re-verification.
 FFT_GUARD = 0.25
@@ -166,17 +164,6 @@ def product_set(g_model: GroupModel, a: Subset, b: Subset) -> Subset:
     return Subset.from_members(g_model, out)
 
 
-def _mul_table_row(g_model: GroupModel, a: int) -> np.ndarray:
-    """Cached left-translation row a * (0..N-1)."""
-    key = ("row", a)
-    row = g_model._cache.get(key)
-    if row is None:
-        row = g_model.mul_vec(a, g_model.elements())
-        if g_model.order <= ROW_CACHE_LIMIT:
-            g_model._cache[key] = row
-    return row
-
-
 def _exact_bin_count(shape, a_idx, b_bool_nd, x) -> int:
     """Exact convolution count at bin x: #{a in A : a^-1 x in B} for the
     abelian product-of-cyclics model (subtraction per coordinate)."""
@@ -192,7 +179,10 @@ def fast_product_set(g_model: GroupModel, a: Subset, b: Subset) -> Subset:
     Abelian products of cyclics go through a real FFT over the factor
     shape with exact thresholding at count >= 1: any bin within
     FFT_GUARD of the 0/1 boundary is recomputed with exact integer
-    arithmetic.  Other groups use row ORs over translate rows.
+    arithmetic.  Other groups scatter the ``mul_arr`` products of the
+    (a, b) pairs, in blocks of rows of A holding at most PAIR_BLOCK
+    pairs (a row wider than that is a block of its own), so the extra
+    memory is O(PAIR_BLOCK) and nothing is cached.
     """
     g_model.require_same(a.parent)
     g_model.require_same(b.parent)
@@ -215,9 +205,10 @@ def fast_product_set(g_model: GroupModel, a: Subset, b: Subset) -> Subset:
         return Subset.from_members(g_model, support)
 
     out = np.zeros(g_model.order, dtype=bool)
-    b_idx = b.indices()
-    for x in a.indices():
-        out[_mul_table_row(g_model, int(x))[b_idx]] = True
+    a_idx, b_idx = a.indices(), b.indices()
+    rows = max(1, groups.PAIR_BLOCK // b_idx.size)
+    for start in range(0, a_idx.size, rows):
+        out[g_model.mul_arr(a_idx[start:start + rows, None], b_idx)] = True
     return Subset.from_members(g_model, out)
 
 

@@ -10,6 +10,7 @@ from kemplab import (Arc, Subset, bohr_preimage, bohr_stability,
                      fiber_profile, level_set, make_cyclic, make_product,
                      spillover_bound, structural_control, transfer)
 from kemplab.errors import PreconditionError
+from kemplab.suites import spillover_suite
 
 
 def planted(n_cols=48, fiber=5, la=10, lb=12):
@@ -98,6 +99,16 @@ def test_spillover_random_zero_violations():
             continue
         assert spillover_bound(g, h, a, b).holds
         done += 1
+
+
+def test_golden_spillover_suite_keeps_the_same_pairs():
+    # frozen before the suite skipped full-projection pairs on the raw
+    # draws; the short runs' worst margins move if another pair is kept
+    for trials, seed, margin in ((500, 1, "-1/4"), (5, 1, "-5/24"), (20, 1, "-11/48"),
+                                 (5, 2, "-11/48"), (5, 3, "-1/12")):
+        res = spillover_suite(trials, seed=seed)
+        assert (res.total, res.failures) == (trials, 0)
+        assert res.detail == {"worst_continuum_margin": margin}
 
 
 def test_transfer_exact_planted():

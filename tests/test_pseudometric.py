@@ -72,6 +72,13 @@ def test_verify_catches_corruption():
     assert not rep.all_ok and rep.witness is not None
 
 
+def test_verify_rejects_a_matrix_of_another_shape():
+    z = make_cyclic(5)
+    for num in (np.zeros((7, 7), dtype=np.int64), np.zeros(5, dtype=np.int64)):
+        with pytest.raises(PreconditionError, match="shape"):
+            verify_pseudometric(z, num)
+
+
 def test_ball_examples():
     z, d = arc_table()
     b = ball(d, Fraction(5, 360))
@@ -650,12 +657,12 @@ def check_linearity_scan(g, members):
     d = pseudometric_from_set(g, Subset.from_indices(g, members))
     # one block holds every row here; 25 pairs per block makes blocks of
     # 25 // c rows, c the width of a block's first row (one row when it is
-    # wider than 25 pairs); a table limit of 0 takes the mul_arr products
+    # wider than 25 pairs); a table limit of 0 takes the digit products
     # that orders above it use
-    for block, limit, gamma in ((b, lim, gm) for b in (pseudometric.LINEARITY_BLOCK, 25)
+    for block, limit, gamma in ((b, lim, gm) for b in (groups.PAIR_BLOCK, 25)
                                 for lim in (groups.EXHAUSTIVE_LIMIT, 0)
                                 for gm in (Fraction(0), Fraction(1, n), Fraction(3, n))):
-        with mock.patch.object(pseudometric, "LINEARITY_BLOCK", block), \
+        with mock.patch.object(groups, "PAIR_BLOCK", block), \
                 mock.patch.object(groups, "EXHAUSTIVE_LIMIT", limit):
             rep = gamma_linearity(d, gamma)
         worst, checked, violations, pair = _linearity_oracle(d, gamma)
@@ -730,7 +737,8 @@ def test_golden_alpha_beam_on_a_table_where_a_window_of_four_returns():
 def test_golden_alpha_beam_on_s4_reads_products_in_path_order(limit):
     # frozen at the parent; on this A the beam's windows and products
     # taken as (new letter) x (path) instead of (path) x (new letter)
-    # return other loops; a table limit of 0 takes the mul_arr products
+    # return other loops; S4 is one table factor, so it reads its table
+    # at either limit
     s4 = make_from_table(symmetric_group_table(4)[0], "S4")
     d = pseudometric_from_set(s4, Subset.from_indices(s4, [0, 4, 6, 9, 10, 12, 13, 14, 15]))
     with mock.patch.object(groups, "EXHAUSTIVE_LIMIT", limit):
@@ -929,8 +937,8 @@ def test_batched_draws_of_several_streams_are_generator_choice():
 
 
 def test_linearity_scan_memory_stays_bounded():
-    # N = 3600 takes the mul_arr products; an N x N int64 array here is
-    # about 99 MiB, a block of LINEARITY_BLOCK pairs a few hundred KiB
+    # N = 3600 takes the digit products; an N x N int64 array here is
+    # about 99 MiB, a block of PAIR_BLOCK pairs a few hundred KiB
     import tracemalloc
     d = noisy_box_z60_squared()
     tracemalloc.start()
@@ -947,7 +955,7 @@ def test_linearity_scan_memory_stays_bounded():
 def test_small_models_memoize_a_read_only_table(kind):
     g = PROPERTY_MODELS[kind]
     table = g.full_table()
-    assert g.small_table() is table and g.full_table() is table
+    assert g.full_table() is table
     with pytest.raises(ValueError):
         table[0, 0] = 1
     idx = g.elements()

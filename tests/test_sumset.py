@@ -73,14 +73,37 @@ def test_fast_equals_naive_z2_powers():
 
 
 def test_fast_equals_naive_nonabelian():
+    # S3 x Z20 reads its memoized table; S3 x Z100 (order 600) is above
+    # EXHAUSTIVE_LIMIT and takes the digit loop
     table, _ = symmetric_group_table(3)
     s3 = make_from_table(table)
-    g = make_product(s3, make_cyclic(20))
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        a = Subset.from_indices(g, rng.choice(120, 11, replace=False))
-        b = Subset.from_indices(g, rng.choice(120, 7, replace=False))
-        assert fast_product_set(g, a, b) == product_set(g, a, b)
+    for n in (20, 100):
+        g = make_product(s3, make_cyclic(n))
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            a = Subset.from_indices(g, rng.choice(g.order, 11, replace=False))
+            b = Subset.from_indices(g, rng.choice(g.order, 7, replace=False))
+            assert fast_product_set(g, a, b) == product_set(g, a, b)
+
+
+def test_fast_product_set_memory_stays_bounded():
+    # S3 x Z680 (order 4080) has no FFT path; a translate row per element
+    # of A would be 2000 rows of 32 KiB, while blocks of PAIR_BLOCK pairs
+    # stay within a few hundred KiB and leave nothing on the model
+    import tracemalloc
+    g = make_product(make_from_table(symmetric_group_table(3)[0]), make_cyclic(680))
+    rng = np.random.default_rng(11)
+    a = Subset.from_indices(g, rng.choice(g.order, 2000, replace=False))
+    b = Subset.from_indices(g, rng.choice(g.order, 50, replace=False))
+    tracemalloc.start()
+    try:
+        fast = fast_product_set(g, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not g._cache
+    assert peak < 4 * 2**20
+    assert fast == product_set(g, a, b)
 
 
 def test_sumset_cardinality_bounds():
