@@ -17,6 +17,7 @@ import numpy as np
 from .errors import EmptyInput, PreconditionError
 from .groups import (GroupModel, Subgroup, coset_partition,
                      distinct_cyclic_subgroups, generated_subgroup)
+from .fibers import fiber_profile
 from .sumset import Subset, fast_product_set, overlap_profile
 
 
@@ -292,12 +293,12 @@ def direction_cover(g_model: GroupModel, a: Subset, h: Subgroup, eps) -> Directi
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise PreconditionError("0 < eps < 1", f"got {eps}")
-    cid, _ = coset_partition(g_model, h, "left")
-    counts = np.bincount(cid[a.indices()], minlength=int(cid.max()) + 1).astype(object)
+    prof = fiber_profile(g_model, h, a)
+    counts = prof.counts.astype(object)
     # keep fibers with (length/|H|)^2 >= eps, exactly, in Python ints:
     # c^2 eps.den >= eps.num |H|^2
     keep = counts * counts * eps.denominator >= eps.numerator * h.order ** 2
-    core = Subset.from_members(g_model, a.members & keep[cid])
+    core = Subset.from_members(g_model, a.members & keep[prof.coset_ids])
     hs = Subset.from_indices(g_model, h.members)
     target = fast_product_set(g_model, core, hs) if core.size else Subset.empty(g_model)
 
@@ -413,9 +414,9 @@ def nonexpander_probe(g_model: GroupModel, k, budget: int, seed: int = 0) -> Pro
 
 
 def period_stabilizer(g_model: GroupModel, s: Subset) -> Subgroup:
-    """H(S) = {g : gS = S}, the left stabilizer subgroup of S."""
-    members = [g for g in range(g_model.order) if s.translate(g, "left") == s]
-    return Subgroup(g_model, tuple(sorted(members)))
+    """H(S) = {g : gS = S} = {g : |S inter gS| = |S|}, the left stabilizer subgroup of S."""
+    counts = overlap_profile(g_model, s, "left").counts
+    return Subgroup(g_model, tuple(np.flatnonzero(counts == s.size).tolist()))
 
 
 def kneser_witness(g_model: GroupModel, a: Subset, b: Subset):

@@ -134,6 +134,24 @@ def _level_telescope(qmodel, h_order: int,
     return total
 
 
+def _quotient_counts(g_model: GroupModel, h: Subgroup, a: Subset, b: Subset):
+    """(G/H, projection, fiber counts of A and of B) for normal H, after the
+    precondition mu_Q(piA) + mu_Q(piB) < 1 shared by spillover and transfer."""
+    qmodel, proj = quotient(g_model, h)
+    a_counts = fiber_profile(g_model, h, a).counts
+    b_counts = fiber_profile(g_model, h, b).counts
+    if np.count_nonzero(a_counts) + np.count_nonzero(b_counts) >= qmodel.order:
+        raise PreconditionError("projection smallness",
+                                "mu(piA) + mu(piB) must be < 1")
+    return qmodel, proj, a_counts, b_counts
+
+
+def _half_levels(counts: np.ndarray, h_order: int):
+    """Coset masks of the fiber-length levels (1/2, 1] and (0, 1/2]."""
+    hi = 2 * counts > h_order
+    return hi, (counts > 0) & ~hi
+
+
 def spillover_bound(g_model: GroupModel, h: Subgroup, a: Subset, b: Subset) -> SpilloverResult:
     """Level-set lower bound on mu(AB) mixing quotient widths and fiber mass.
 
@@ -147,23 +165,14 @@ def spillover_bound(g_model: GroupModel, h: Subgroup, a: Subset, b: Subset) -> S
     exactly, symmetrized by taking the better side).  Precondition:
     mu_Q(piA) + mu_Q(piB) < 1.  Requires cyclic H (fiber CD).
     """
-    pa, qmodel, proj = projection_subset(g_model, h, a)
-    pb, _, _ = projection_subset(g_model, h, b)
-    if pa.measure() + pb.measure() >= 1:
-        raise PreconditionError("projection smallness",
-                                "mu(piA) + mu(piB) must be < 1")
-    half = Fraction(1, 2)
-    a_hi, pa_hi, _, _ = level_set(g_model, h, a, half, 1)
-    b_hi, pb_hi, _, _ = level_set(g_model, h, b, half, 1)
-    a_lo, pa_lo, _, _ = level_set(g_model, h, a, 0, half)
-    b_lo, pb_lo, _, _ = level_set(g_model, h, b, 0, half)
-    rhs = (pa_hi.measure() + pb_hi.measure()
-           + Fraction(1, 4) * (pa_lo.measure() + pb_lo.measure())
-           + a_lo.measure() + b_lo.measure())
+    qmodel, _, a_counts, b_counts = _quotient_counts(g_model, h, a, b)
+    a_hi, a_lo = _half_levels(a_counts, h.order)
+    b_hi, b_lo = _half_levels(b_counts, h.order)
+    q, n = qmodel.order, g_model.order
+    rhs = (Fraction(int(np.count_nonzero(a_hi)) + int(np.count_nonzero(b_hi)), q)
+           + Fraction(int(np.count_nonzero(a_lo)) + int(np.count_nonzero(b_lo)), 4 * q)
+           + Fraction(int(a_counts[a_lo].sum()) + int(b_counts[b_lo].sum()), n))
 
-    n = g_model.order
-    a_counts = np.bincount(proj[a.indices()], minlength=qmodel.order).astype(np.int64)
-    b_counts = np.bincount(proj[b.indices()], minlength=qmodel.order).astype(np.int64)
     lhs_count = _level_telescope(qmodel, h.order, a_counts, b_counts)
     if qmodel.abelian:
         # mu(BA) = mu(AB) there, so the swapped telescope also bounds AB
@@ -204,18 +213,13 @@ def transfer(g_model: GroupModel, h: Subgroup, a: Subset, b: Subset,
     certificates are recorded explicitly.
     """
     delta = Fraction(delta)
-    pa, qmodel, proj = projection_subset(g_model, h, a)
-    pb, _, _ = projection_subset(g_model, h, b)
-    if pa.measure() + pb.measure() >= 1:
-        raise PreconditionError("projection smallness",
-                                "mu(piA) + mu(piB) must be < 1")
+    qmodel, proj, a_counts, b_counts = _quotient_counts(g_model, h, a, b)
     ab = fast_product_set(g_model, a, b)
     if not ab.measure() < a.measure() + b.measure() + delta:
         raise PreconditionError("near minimality",
                                 f"mu(AB) exceeds mu(A)+mu(B)+{delta}")
-    half = Fraction(1, 2)
-    a_hi, pa_hi, _, _ = level_set(g_model, h, a, half, 1)
-    b_hi, pb_hi, _, _ = level_set(g_model, h, b, half, 1)
+    pa_hi = Subset.from_members(qmodel, _half_levels(a_counts, h.order)[0])
+    pb_hi = Subset.from_members(qmodel, _half_levels(b_counts, h.order)[0])
 
     pull_a = Subset.from_members(g_model, pa_hi.members[proj])
     pull_b = Subset.from_members(g_model, pb_hi.members[proj])

@@ -141,22 +141,14 @@ def _additive_defect(g_model: GroupModel, values: np.ndarray, alpha_num: int,
     small models, sampled above."""
     n = g_model.order
     idx = g_model.elements()
-    worst = 0
-    if n <= PAIR_EXHAUSTIVE_LIMIT:
-        for g1 in range(n):
-            prods = g_model.mul_vec(g1, idx)
-            r = (int(values[g1]) + values - values[prods]) % alpha_num
-            dev = np.minimum(r, alpha_num - r)
-            worst = max(worst, int(dev.max()))
-        return Fraction(worst, den), True
+    exhaustive = n <= PAIR_EXHAUSTIVE_LIMIT
     rng = np.random.default_rng(seed)
-    for _ in range(200):
-        g1 = int(rng.integers(0, n))
-        prods = g_model.mul_vec(g1, idx)
-        r = (int(values[g1]) + values - values[prods]) % alpha_num
-        dev = np.minimum(r, alpha_num - r)
-        worst = max(worst, int(dev.max()))
-    return Fraction(worst, den), False
+    rows = range(n) if exhaustive else [int(rng.integers(0, n)) for _ in range(200)]
+    worst = 0
+    for g1 in rows:
+        r = (int(values[g1]) + values - values[g_model.mul_vec(g1, idx)]) % alpha_num
+        worst = max(worst, int(np.minimum(r, alpha_num - r).max()))
+    return Fraction(worst, den), exhaustive
 
 
 def snap_to_character(g_model: GroupModel, hom: AlmostHom,

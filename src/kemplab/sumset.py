@@ -4,17 +4,28 @@ A subset is a read-only boolean membership vector over element indices,
 so unions, intersections, and counts are exact numpy operations and the
 kernels' boolean outputs become subsets without conversion.  ``mask``
 renders the vector as a Python int (bit i is element i), the form the
-subset files store.  ``product_set`` is the deliberately naive
-reference kernel; ``fast_product_set`` must agree with it bit for bit
-and gets there through a blocked ``mul_arr`` scatter of the (a, b)
-pairs or an FFT convolution whose output is thresholded exactly and
-re-verified wherever a bin lands near the 0/1 boundary.
+subset files store.
+
+One kernel, ``_product_counts``, computes the representation count
+r_XY(z) = #{(x, y) in X x Y : xy = z} as exact integers.  Its support
+is the product set XY, and r_{A A^-1}(g) = |A inter gA|, so
+``fast_product_set``, ``overlap_profile`` and through it the expansion
+module's ``period_stabilizer`` all read it.  All-cyclic models of order
+>= 32 take a real FFT whose bins are rounded under two certificates: a
+per-bin guard (every bin farther than FFT_GUARD from an integer is
+recounted exactly) and the Fubini sum sum_z r(z) = |X||Y|; a failed sum
+sends the call to the pair route, which every other model takes and
+which bincounts blocked ``mul_arr`` products.  Opposite +-1 errors in
+two bins that land near integers pass both certificates.
+``product_set`` is the deliberately naive reference kernel that
+``fast_product_set`` must agree with bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -88,7 +99,7 @@ class Subset:
         return Fraction(self.size, self.parent.order)
 
     def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.members)
+        return self.members.nonzero()[0]
 
     def contains(self, g: int) -> bool:
         return bool(self.members[g])
@@ -164,52 +175,51 @@ def product_set(g_model: GroupModel, a: Subset, b: Subset) -> Subset:
     return Subset.from_members(g_model, out)
 
 
-def _exact_bin_count(shape, a_idx, b_bool_nd, x) -> int:
-    """Exact convolution count at bin x: #{a in A : a^-1 x in B} for the
-    abelian product-of-cyclics model (subtraction per coordinate)."""
-    coords = np.unravel_index(x, shape)
-    a_coords = np.unravel_index(a_idx, shape)
-    diff = tuple((c - ac) % s for c, ac, s in zip(coords, a_coords, shape))
-    return int(np.count_nonzero(b_bool_nd[diff]))
+def _product_counts(g_model: GroupModel, x: Subset, y: Optional[Subset]) -> np.ndarray:
+    """r_XY(z) = #{(a, b) in X x Y : ab = z} for every z, as exact int64 counts.
+
+    ``y`` None stands for X^-1, so r_{X X^-1}(g) = |X inter gX| and the
+    FFT route needs only X's spectrum and its conjugate.  The pair route
+    takes blocks of rows of X holding at most PAIR_BLOCK pairs (a row
+    wider than that is a block of its own), so its extra memory is
+    O(PAIR_BLOCK) and nothing is cached.
+    """
+    n = g_model.order
+    y_size = x.size if y is None else y.size
+    shape = g_model.cyclic_shape
+    if shape is not None and n >= 32:
+        spec = np.fft.rfftn(x.members.reshape(shape).astype(np.float64))
+        other = np.conj(spec) if y is None else \
+            np.fft.rfftn(y.members.reshape(shape).astype(np.float64))
+        conv = np.fft.irfftn(spec * other, s=shape, axes=tuple(range(len(shape)))).ravel()
+        counts = np.rint(conv)
+        off = np.flatnonzero(np.abs(conv - counts) > FFT_GUARD)
+        counts = counts.astype(np.int64)
+        if off.size:
+            y_members = (x.inverse() if y is None else y).members
+            x_inv = g_model.inv_vec(x.indices())
+            for z in off:
+                counts[z] = np.count_nonzero(y_members[g_model.mul_arr(x_inv, int(z))])
+        if int(counts.sum()) == x.size * y_size:
+            return counts
+
+    counts = np.zeros(n, dtype=np.int64)
+    if x.size == 0 or y_size == 0:
+        return counts
+    x_idx = x.indices()
+    y_idx = g_model.inv_vec(x_idx) if y is None else y.indices()
+    rows = max(1, groups.PAIR_BLOCK // y_idx.size)
+    for start in range(0, x_idx.size, rows):
+        counts += np.bincount(g_model.mul_arr(x_idx[start:start + rows, None], y_idx).ravel(),
+                              minlength=n)
+    return counts
 
 
 def fast_product_set(g_model: GroupModel, a: Subset, b: Subset) -> Subset:
-    """AB by the accelerated path; bit-identical to product_set.
-
-    Abelian products of cyclics go through a real FFT over the factor
-    shape with exact thresholding at count >= 1: any bin within
-    FFT_GUARD of the 0/1 boundary is recomputed with exact integer
-    arithmetic.  Other groups scatter the ``mul_arr`` products of the
-    (a, b) pairs, in blocks of rows of A holding at most PAIR_BLOCK
-    pairs (a row wider than that is a block of its own), so the extra
-    memory is O(PAIR_BLOCK) and nothing is cached.
-    """
+    """AB by the exact count kernel; bit-identical to product_set."""
     g_model.require_same(a.parent)
     g_model.require_same(b.parent)
-    if a.size == 0 or b.size == 0:
-        return Subset.empty(g_model)
-
-    shape = g_model.cyclic_shape
-    if shape is not None and g_model.order >= 32:
-        fa = a.members.reshape(shape).astype(np.float64)
-        fb = b.members.reshape(shape).astype(np.float64)
-        axes = tuple(range(len(shape)))
-        conv = np.fft.irfftn(np.fft.rfftn(fa) * np.fft.rfftn(fb), s=shape, axes=axes).ravel()
-        support = conv > 0.5
-        suspicious = np.flatnonzero(np.abs(conv - np.rint(conv)) > FFT_GUARD)
-        if suspicious.size:
-            a_idx = a.indices()
-            b_nd = b.members.reshape(shape)
-            for x in suspicious:
-                support[x] = _exact_bin_count(shape, a_idx, b_nd, int(x)) >= 1
-        return Subset.from_members(g_model, support)
-
-    out = np.zeros(g_model.order, dtype=bool)
-    a_idx, b_idx = a.indices(), b.indices()
-    rows = max(1, groups.PAIR_BLOCK // b_idx.size)
-    for start in range(0, a_idx.size, rows):
-        out[g_model.mul_arr(a_idx[start:start + rows, None], b_idx)] = True
-    return Subset.from_members(g_model, out)
+    return Subset.from_members(g_model, _product_counts(g_model, a, b) > 0)
 
 
 def cyclic_sumset_batch(n: int, a_indices, b_masks: np.ndarray, dtype=np.uint32) -> np.ndarray:
@@ -274,36 +284,11 @@ class OverlapProfile:
 
 
 def overlap_profile(g_model: GroupModel, a: Subset, side: str = "left") -> OverlapProfile:
-    """Exact overlap counts for every translate.
+    """Exact overlap counts for every translate, read off the count kernel.
 
-    For cyclic-shape groups the counts are an autocorrelation computed
-    by FFT and rounded; any bin farther than FFT_GUARD from an integer
-    is recounted exactly, as in fast_product_set, and the Fubini
-    identity is asserted as a second certificate (with a loop fallback
-    if it ever failed).
+    |A inter gA| = r_{A A^-1}(g) (left) and |A inter Ag| = r_{A^-1 A}(g)
+    (right); the two agree on abelian models.
     """
     g_model.require_same(a.parent)
-    n = g_model.order
-    shape = g_model.cyclic_shape
-
-    def exact(g: int) -> int:
-        return np.count_nonzero(a.members & a.translate(g, side).members)
-
-    if shape is not None and n >= 64:
-        spec = np.fft.rfftn(a.members.reshape(shape).astype(np.float64))
-        axes = tuple(range(len(shape)))
-        corr = np.fft.irfftn(spec * np.conj(spec), s=shape, axes=axes).ravel()
-        counts = np.rint(corr).astype(np.int64)
-        # left overlap |A inter gA| with g decomposed over the shape:
-        # autocorrelation bins are indexed by the translate itself.
-        for g in np.flatnonzero(np.abs(corr - counts) > FFT_GUARD):
-            counts[g] = exact(int(g))
-        profile = OverlapProfile(g_model, side, counts, a.size)
-        if profile.verify_mean_identity():
-            return profile
-
-    counts = np.array([exact(g) for g in range(n)], dtype=np.int64)
-    profile = OverlapProfile(g_model, side, counts, a.size)
-    if not profile.verify_mean_identity():
-        raise AssertionError("overlap mean identity failed; kernel bug")
-    return profile
+    x = a if side == "left" or g_model.abelian else a.inverse()
+    return OverlapProfile(g_model, side, _product_counts(g_model, x, None), a.size)

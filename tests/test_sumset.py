@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kemplab import (Subset, fast_product_set, make_cyclic, make_from_table,
-                     make_product, overlap_profile, product_set,
-                     symmetric_group_table, translate_overlap)
+from kemplab import (Subset, cyclic_subgroup, fast_product_set, make_cyclic,
+                     make_from_table, make_product, overlap_profile, period_stabilizer,
+                     product_set, quotient, symmetric_group_table, translate_overlap)
 from kemplab.errors import GroupMismatch, PreconditionError
 from kemplab.sumset import cyclic_sumset_batch, popcount_u32
 
@@ -301,10 +301,6 @@ def _overlap_oracle(g, a, side):
     return hits.sum(axis=1).tolist()
 
 
-FFT_SHAPES = {"Z64": (64,), "Z97": (97,), "Z2^6": (2,) * 6, "Z8xZ12": (8, 12),
-              "Z4xZ4xZ6": (4, 4, 6), "Z48xZ5": (48, 5)}
-
-
 def _cyclic_product(shape):
     g = make_cyclic(shape[0])
     for n in shape[1:]:
@@ -312,19 +308,7 @@ def _cyclic_product(shape):
     return g
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(sorted(FFT_SHAPES)), st.sampled_from(["left", "right"]), st.data())
-def test_overlap_profile_fft_path_matches_loop_oracle(name, side, data):
-    g = _cyclic_product(FFT_SHAPES[name])
-    assert g.order >= 64                     # the FFT route is taken
-    xs = data.draw(st.sets(st.integers(0, g.order - 1), max_size=g.order))
-    a = Subset.from_indices(g, xs)
-    prof = overlap_profile(g, a, side)
-    assert prof.counts.tolist() == _overlap_oracle(g, a, side)
-    assert prof.verify_mean_identity()
-
-
-def test_overlap_profile_recounts_bins_off_the_integer_grid(monkeypatch):
+def test_count_kernel_recounts_bins_off_the_integer_grid(monkeypatch):
     # opposite errors of 0.6 in two bins round to +1 and -1 and keep the
     # Fubini sum, so only the per-bin guard can catch them
     irfftn = np.fft.irfftn
@@ -341,3 +325,62 @@ def test_overlap_profile_recounts_bins_off_the_integer_grid(monkeypatch):
         a = Subset.from_indices(g, range(0, g.order, 3))
         for side in ("left", "right"):
             assert overlap_profile(g, a, side).counts.tolist() == _overlap_oracle(g, a, side)
+        for b in (Subset.from_indices(g, [0, 1]), Subset.from_indices(g, range(0, g.order, 5))):
+            assert fast_product_set(g, a, b) == product_set(g, a, b)
+
+
+def test_count_kernel_falls_back_when_the_fubini_sum_fails(monkeypatch):
+    # +1.0 on a bin whose true count is 0 stays on the integer grid, so
+    # the per-bin guard passes it; only the Fubini sum sees the extra pair
+    irfftn = np.fft.irfftn
+
+    def shifted(*args, **kwargs):
+        out = irfftn(*args, **kwargs)
+        out.flat[7] += 1.0
+        return out
+
+    monkeypatch.setattr(np.fft, "irfftn", shifted)
+    z = make_cyclic(97)
+    a, b = Subset.from_indices(z, [0, 1, 2]), Subset.from_indices(z, [0, 1])
+    assert fast_product_set(z, a, b) == product_set(z, a, b)
+    for side in ("left", "right"):
+        assert overlap_profile(z, a, side).counts.tolist() == _overlap_oracle(z, a, side)
+
+
+def _quotient_model():
+    # S3 x Z20 over its central Z5 = {(e, 4k)}: a nonabelian table of order 24
+    g = make_product(_s3(), make_cyclic(20))
+    return quotient(g, cyclic_subgroup(g, g.identity + 4))[0]
+
+
+# every kind the count kernel meets: the FFT route (all-cyclic, order >= 32),
+# the pair route below that order, and the pair route on tables and products
+KERNEL_MODELS = {
+    **{f"Z{n}": make_cyclic(n) for n in (12, 31, 32, 60, 64, 97)},
+    **{name: _cyclic_product(shape) for name, shape in (
+        ("Z2^6", (2,) * 6), ("Z2^8", (2,) * 8), ("Z8xZ12", (8, 12)),
+        ("Z4xZ4xZ6", (4, 4, 6)), ("Z48xZ5", (48, 5)))},
+    "S3xZ20": make_product(_s3(), make_cyclic(20)),
+    "S4": make_from_table(symmetric_group_table(4)[0], "S4"),
+    "S3xZ20/Z5": _quotient_model(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_MODELS)), st.data())
+def test_count_kernel_matches_its_oracles(name, data):
+    g = KERNEL_MODELS[name]
+    n = g.order
+    a = Subset.from_indices(g, data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    b = Subset.from_indices(g, data.draw(st.sets(st.integers(0, n - 1), max_size=24)))
+    assert fast_product_set(g, a, b) == product_set(g, a, b)
+    assert fast_product_set(g, b, a) == product_set(g, b, a)
+    for side in ("left", "right"):
+        prof = overlap_profile(g, a, side)
+        assert prof.counts.tolist() == _overlap_oracle(g, a, side)
+        assert prof.verify_mean_identity()
+    # H b is a union of right cosets Hx, so its left stabilizer contains H
+    h = Subset.from_indices(g, cyclic_subgroup(g, data.draw(st.integers(0, n - 1))).members)
+    for s in (a, b, product_set(g, h, b)):
+        loop = [x for x in range(n) if s.translate(x, "left") == s]
+        assert list(period_stabilizer(g, s).members) == loop
