@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyInput, PreconditionError
-from .groups import (GroupModel, Subgroup, coset_partition,
+from .groups import (PAIR_BLOCK, GroupModel, Subgroup, coset_minima,
                      distinct_cyclic_subgroups, generated_subgroup)
 from .fibers import fiber_profile
 from .sumset import Subset, fast_product_set, overlap_profile
@@ -221,29 +221,49 @@ class ToricReport:
         return self.max_ratio <= Fraction(k)
 
 
+def _cosets_met(reps: np.ndarray, idx: np.ndarray):
+    """Yield (first row, counts) for blocks of rows of a coset-minima
+    matrix: counts[j] is the number of distinct entries of row first + j
+    at the columns ``idx``, that is the cosets meeting the set.  One
+    boolean scatter per block; blocks hold at most PAIR_BLOCK cells."""
+    m, n = reps.shape
+    rows = max(1, PAIR_BLOCK // n)
+    for start in range(0, m, rows):
+        block = reps[start:start + rows]
+        hit = np.zeros(block.shape, dtype=bool)
+        hit[np.arange(len(block))[:, None], block[:, idx]] = True
+        yield start, np.count_nonzero(hit, axis=1)
+
+
 def toric_expansion_ratios(g_model: GroupModel, a: Subset,
                            subgroups=None, stop_above=None) -> ToricReport:
     """Ratios mu(AH)/mu(A) per distinct cyclic subgroup.
 
-    ``stop_above`` short-circuits the scan once a ratio exceeds it
-    (used by the probe's feasibility test; the report is then partial).
+    |AH| = |H| * #{cosets gH meeting A}, read from the model's
+    ``coset_minima`` matrix (built at the first scan of a subgroup list)
+    with one boolean scatter per block of rows.  Ratios are keyed by the
+    subgroup's generator, or by its smallest member when it has none;
+    ``argmax_generator`` is the key of the first largest ratio.  Rows
+    are walked in the given order, and ``stop_above`` ends the scan once
+    a ratio exceeds it (used by the probe's feasibility test; the report
+    is then partial).
     """
     if a.size == 0:
         raise EmptyInput("toric ratios require nonempty A")
-    if subgroups is None:
-        subgroups = distinct_cyclic_subgroups(g_model)
+    g_model.require_same(a.parent)
+    subgroups = distinct_cyclic_subgroups(g_model) if subgroups is None else list(subgroups)
     ratios = {}
     best = Fraction(0)
     arg = g_model.identity
-    for h in subgroups:
-        hs = Subset.from_indices(g_model, h.members)
-        ah = fast_product_set(g_model, a, hs)
-        r = Fraction(ah.size, a.size)
-        ratios[h.generator if h.generator is not None else min(h.members)] = r
-        if r > best:
-            best, arg = r, h.generator
-        if stop_above is not None and best > stop_above:
-            break
+    for start, counts in _cosets_met(coset_minima(g_model, subgroups), a.indices()):
+        for h, met in zip(subgroups[start:start + counts.size], counts.tolist()):
+            key = h.generator if h.generator is not None else min(h.members)
+            r = Fraction(met * h.order, a.size)
+            ratios[key] = r
+            if r > best:
+                best, arg = r, key
+            if stop_above is not None and best > stop_above:
+                return ToricReport(ratios, best, arg)
     return ToricReport(ratios, best, arg)
 
 
@@ -251,23 +271,28 @@ def covering_tori(g_model: GroupModel):
     """Greedy cyclic subgroups whose iterated product covers G.
 
     Max-coverage greedy with smallest-generator tie break; singletons
-    ensure termination, so this always succeeds.
+    ensure termination, so this always succeeds.  Each step counts
+    |CH| for every cyclic H with one scatter of the covered set C over
+    the coset-minima matrix, and the chosen CH is the union of the
+    cosets C meets.
     """
     subs = distinct_cyclic_subgroups(g_model)
-    sub_sets = [(h, Subset.from_indices(g_model, h.members)) for h in subs]
-    covered = Subset.singleton(g_model, g_model.identity)
+    reps = coset_minima(g_model, subs)
+    orders = np.array([h.order for h in subs], dtype=np.int64)
+    covered = np.zeros(g_model.order, dtype=bool)
+    covered[g_model.identity] = True
+    size = 1
     out = []
-    while covered.size < g_model.order:
-        best = None
-        best_size = covered.size
-        for h, hs in sub_sets:
-            cand = fast_product_set(g_model, covered, hs)
-            if cand.size > best_size:
-                best, best_size = (h, cand), cand.size
-        if best is None:
+    while size < g_model.order:
+        idx = covered.nonzero()[0]
+        sizes = np.concatenate([c for _, c in _cosets_met(reps, idx)]) * orders
+        i = int(np.argmax(sizes))
+        if sizes[i] <= size:
             break
-        out.append(best[0])
-        covered = best[1]
+        out.append(subs[i])
+        met = np.zeros(g_model.order, dtype=bool)
+        met[reps[i, idx]] = True
+        covered, size = met[reps[i]], int(sizes[i])
     return out
 
 
@@ -334,12 +359,12 @@ class ProbeReport:
 
 
 def _random_union_of_cosets(g_model, rng, subgroups):
-    h = subgroups[int(rng.integers(0, len(subgroups)))]
-    n_cosets = g_model.order // h.order
+    i = int(rng.integers(0, len(subgroups)))
+    n_cosets = g_model.order // subgroups[i].order
     j = int(rng.integers(1, max(2, n_cosets // 2 + 1)))
-    reps = rng.choice(g_model.order, size=j, replace=False)
-    cid, _ = coset_partition(g_model, h, "left")
-    return Subset.from_members(g_model, np.isin(cid, cid[reps]))
+    picks = rng.choice(g_model.order, size=j, replace=False)
+    minima = coset_minima(g_model, subgroups)[i]
+    return Subset.from_members(g_model, np.isin(minima, minima[picks]))
 
 
 def _random_generated_subgroup(g_model, rng):

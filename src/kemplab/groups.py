@@ -52,8 +52,8 @@ class GroupModel:
     factors; ``kind`` is ``cyclic`` or ``table`` for one factor and
     ``product`` otherwise.  Instances are immutable and all operations
     on them are pure; ``_cache`` memoizes data derived from the model
-    (the full table of a small model, coset partitions, quotients) and
-    is freed with it.
+    (the full table of a small model, coset partitions, quotients, the
+    coset-minima matrix of the last toric scan) and is freed with it.
     """
 
     __slots__ = ("label", "factors", "order", "identity", "abelian", "_digits", "_cache")
@@ -319,7 +319,8 @@ def symmetric_group_table(n: int):
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its member indices (closed, contains identity)."""
+    """A subgroup given by its member indices (closed, contains identity);
+    ``generator``, when set, is an element whose powers are the members."""
 
     parent: GroupModel
     members: tuple           # sorted element indices
@@ -442,28 +443,88 @@ def is_normal(g_model: GroupModel, h: Subgroup) -> Optional[int]:
     return None
 
 
+def _coset_minima(g_model: GroupModel, subgroups, side: str) -> np.ndarray:
+    """R[i, g] = min over h in H_i of g*h (left) or h*g (right), uncached.
+
+    A subgroup with a generator x takes doubling steps
+    R <- min(R, R[., g*x^(2^k)]) for a block of rows: ceil(log2 |H|)
+    gathers, the step permutation squared by one more gather each time,
+    so only g*x is a group product.  Any other subgroup takes a blocked
+    min over its members.  Blocks hold at most PAIR_BLOCK cells, so the
+    extra memory is O(PAIR_BLOCK).
+    Entries are int16 up to order 2^15 and int32 above.
+    """
+    n = g_model.order
+    out = np.empty((len(subgroups), n), dtype=np.int16 if n <= 2**15 else np.int32)
+    g = g_model.elements()
+    cyclic = [i for i, h in enumerate(subgroups) if h.generator is not None]
+    rows = max(1, PAIR_BLOCK // n)
+    for start in range(0, len(cyclic), rows):
+        block = cyclic[start:start + rows]
+        x = np.array([subgroups[i].generator for i in block], dtype=np.int64)[:, None]
+        # step[j, g]: flat position of g*x^(2^k) (left) or x^(2^k)*g in row j
+        step = g_model.mul_arr(g, x) if side == "left" else g_model.mul_arr(x, g)
+        step += np.arange(0, len(block) * n, n)[:, None]
+        r = np.broadcast_to(g.astype(out.dtype), (len(block), n)).copy()
+        span, order = 1, max(subgroups[i].order for i in block)
+        while span < order:
+            np.minimum(r, r.ravel()[step], out=r)
+            step = step.ravel()[step]
+            span *= 2
+        out[block] = r
+    for i, h in enumerate(subgroups):
+        if h.generator is not None:
+            continue
+        members = np.array(h.members, dtype=np.int64)
+        cols = max(1, PAIR_BLOCK // members.size)
+        for start in range(0, n, cols):
+            gs = g[start:start + cols, None]
+            prods = g_model.mul_arr(gs, members) if side == "left" \
+                else g_model.mul_arr(members, gs)
+            out[i, start:start + cols] = prods.min(axis=1)
+    return out
+
+
+def coset_minima(g_model: GroupModel, subgroups) -> np.ndarray:
+    """The read-only matrix R[i, g] = min(g H_i), the smallest member of
+    the left coset of g, one row per subgroup.
+
+    gH_i = gH_i' iff R[i, g] = R[i, g'], so |AH_i| is |H_i| times the
+    number of distinct R[i, a], a in A.  The model keeps the matrix of
+    the last subgroup list it was asked for in ``_cache`` (one matrix,
+    keyed by the subgroups' members); a list whose matrix would hold
+    more than DENSE_ORDER_LIMIT^2 entries raises PreconditionError
+    ("order limit") before anything is allocated.
+    """
+    key = tuple(h.members for h in subgroups)
+    hit = g_model._cache.get("coset_minima")
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    if len(subgroups) * g_model.order > DENSE_ORDER_LIMIT ** 2:
+        raise PreconditionError("order limit", f"{len(subgroups)} coset rows at order "
+                                f"{g_model.order} exceed DENSE_ORDER_LIMIT^2 entries")
+    reps = _coset_minima(g_model, subgroups, "left")
+    reps.setflags(write=False)
+    g_model._cache["coset_minima"] = (key, reps)
+    return reps
+
+
 def coset_partition(g_model: GroupModel, h: Subgroup, side: str = "left"):
     """Partition of G into cosets aH (left) or Ha (right).
 
     Returns (coset_id array, reps); cosets are numbered by ascending
-    smallest representative.  Memoized on the model.
+    smallest representative: the ids are the dense rank of the coset
+    minima min(gH) (left) or min(Hg) (right).  Memoized on the model.
     """
     key = ("cosets", h.members, side)
     hit = g_model._cache.get(key)
     if hit is not None:
         return hit
-    cid = np.full(g_model.order, -1, dtype=np.int64)
-    reps = []
-    members = np.array(h.members, dtype=np.int64)
-    for g in range(g_model.order):
-        if cid[g] >= 0:
-            continue
-        if side == "left":
-            cid[g_model.mul_vec(g, members)] = len(reps)
-        else:
-            cid[g_model.rmul_vec(members, g)] = len(reps)
-        reps.append(g)
-    out = (cid, np.array(reps, dtype=np.int64))
+    minima = _coset_minima(g_model, [h], side)[0]
+    reps = np.flatnonzero(minima == g_model.elements())
+    rank = np.empty(g_model.order, dtype=np.int64)
+    rank[reps] = np.arange(reps.size)
+    out = (rank[minima], reps)
     g_model._cache[key] = out
     return out
 

@@ -10,13 +10,16 @@ One kernel, ``_product_counts``, computes the representation count
 r_XY(z) = #{(x, y) in X x Y : xy = z} as exact integers.  Its support
 is the product set XY, and r_{A A^-1}(g) = |A inter gA|, so
 ``fast_product_set``, ``overlap_profile`` and through it the expansion
-module's ``period_stabilizer`` all read it.  All-cyclic models of order
->= 32 take a real FFT whose bins are rounded under two certificates: a
-per-bin guard (every bin farther than FFT_GUARD from an integer is
-recounted exactly) and the Fubini sum sum_z r(z) = |X||Y|; a failed sum
-sends the call to the pair route, which every other model takes and
-which bincounts blocked ``mul_arr`` products.  Opposite +-1 errors in
-two bins that land near integers pass both certificates.
+module's ``period_stabilizer`` all read it.  On Z2^k of order >= 32 the
+product is XOR of indices, and an int64 Walsh-Hadamard transform gives
+the counts exactly, with no rounding and so no certificate, whenever
+N|X||Y| < 2^63.  Every other all-cyclic model of order >= 32 (and Z2^k
+past that bound) takes a real FFT whose bins are rounded under two
+certificates: a per-bin guard (every bin farther than FFT_GUARD from an
+integer is recounted exactly) and the Fubini sum sum_z r(z) = |X||Y|; a
+failed sum sends the call to the pair route, which every other model
+takes and which bincounts blocked ``mul_arr`` products.  Opposite +-1
+errors in two bins that land near integers pass both certificates.
 ``product_set`` is the deliberately naive reference kernel that
 ``fast_product_set`` must agree with bit for bit.
 """
@@ -175,18 +178,47 @@ def product_set(g_model: GroupModel, a: Subset, b: Subset) -> Subset:
     return Subset.from_members(g_model, out)
 
 
+def _walsh_hadamard_fits(shape: tuple, x_size: int, y_size: int) -> bool:
+    """Whether the Walsh-Hadamard route serves a model of this cyclic shape:
+    every factor is Z2, the order is at least 32, and N|X||Y| < 2^63, which
+    bounds every int64 value of the two transforms."""
+    n = 1 << len(shape)
+    return set(shape) == {2} and n >= 32 and n * x_size * y_size < 2**63
+
+
+def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
+    """The unnormalized Walsh-Hadamard transform of an int64 vector of
+    length 2^k, in place: k butterfly passes (a, b) -> (a + b, a - b)."""
+    h = 1
+    while h < v.size:
+        pairs = v.reshape(-1, 2, h)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        lo += hi
+        hi *= -2
+        hi += lo
+        h *= 2
+    return v
+
+
 def _product_counts(g_model: GroupModel, x: Subset, y: Optional[Subset]) -> np.ndarray:
     """r_XY(z) = #{(a, b) in X x Y : ab = z} for every z, as exact int64 counts.
 
-    ``y`` None stands for X^-1, so r_{X X^-1}(g) = |X inter gX| and the
-    FFT route needs only X's spectrum and its conjugate.  The pair route
-    takes blocks of rows of X holding at most PAIR_BLOCK pairs (a row
-    wider than that is a block of its own), so its extra memory is
-    O(PAIR_BLOCK) and nothing is cached.
+    ``y`` None stands for X^-1, so r_{X X^-1}(g) = |X inter gX|.  On Z2^k
+    (``_walsh_hadamard_fits``) the product is XOR of indices and
+    r = H(H(1_X) H(1_Y)) / N in int64, with X^-1 = X.  Other all-cyclic
+    models of order >= 32 take the float FFT, needing only X's spectrum
+    and its conjugate for X^-1.  Every other call takes ``_pair_counts``.
     """
     n = g_model.order
     y_size = x.size if y is None else y.size
     shape = g_model.cyclic_shape
+    if shape is not None and _walsh_hadamard_fits(shape, x.size, y_size):
+        spec = _walsh_hadamard(x.members.astype(np.int64))
+        if y is None:
+            spec *= spec
+        else:
+            spec *= _walsh_hadamard(y.members.astype(np.int64))
+        return _walsh_hadamard(spec) // n
     if shape is not None and n >= 32:
         spec = np.fft.rfftn(x.members.reshape(shape).astype(np.float64))
         other = np.conj(spec) if y is None else \
@@ -202,9 +234,17 @@ def _product_counts(g_model: GroupModel, x: Subset, y: Optional[Subset]) -> np.n
                 counts[z] = np.count_nonzero(y_members[g_model.mul_arr(x_inv, int(z))])
         if int(counts.sum()) == x.size * y_size:
             return counts
+    return _pair_counts(g_model, x, y)
 
+
+def _pair_counts(g_model: GroupModel, x: Subset, y: Optional[Subset]) -> np.ndarray:
+    """The pair route of ``_product_counts``: a bincount of ``mul_arr``
+    products over blocks of rows of X holding at most PAIR_BLOCK pairs (a
+    row wider than that is a block of its own), so its extra memory is
+    O(PAIR_BLOCK) and nothing is cached."""
+    n = g_model.order
     counts = np.zeros(n, dtype=np.int64)
-    if x.size == 0 or y_size == 0:
+    if x.size == 0 or (y is not None and y.size == 0):
         return counts
     x_idx = x.indices()
     y_idx = g_model.inv_vec(x_idx) if y is None else y.indices()

@@ -1,13 +1,18 @@
 """Deficits, the shrink toolkit, and toric probes."""
 
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kemplab import (Arc, Subset, bohr_preimage, covering_tori, cyclic_subgroup,
-                     deficit, enumerate_characters, find_translate_overlap,
-                     is_nearly_minimal, kneser_witness, make_cyclic,
+from kemplab import (Arc, Subgroup, Subset, bohr_preimage, coset_partition, covering_tori,
+                     cyclic_subgroup, deficit, distinct_cyclic_subgroups,
+                     enumerate_characters, fast_product_set, find_translate_overlap,
+                     generated_subgroup, is_nearly_minimal, kneser_witness, make_cyclic,
                      make_from_table, make_product, nonexpander_probe,
                      shrink_to_size,
                      submodular_check, symmetric_group_table,
@@ -301,3 +306,192 @@ def test_direction_cover_core_is_exact_at_the_threshold():
         keep = {c for c in range(10) if c % 7 >= least}
         assert set(cover.core.indices().tolist()) == {int(x) for x in a.indices()
                                                        if cid[x] in keep}
+
+
+# -- toric scans from coset counts -------------------------------------------
+
+def _toric_models():
+    s3 = make_from_table(symmetric_group_table(3)[0], "S3")
+    return {"Z12": make_cyclic(12),
+            "Z12xZ5": make_product(make_cyclic(12), make_cyclic(5)),
+            "Z60xZ60": make_product(make_cyclic(60), make_cyclic(60)),
+            "S3": s3, "S3xZ20": make_product(s3, make_cyclic(20)),
+            "S4": make_from_table(symmetric_group_table(4)[0], "S4")}
+
+
+TORIC_MODELS = _toric_models()
+
+
+@lru_cache(maxsize=None)
+def _cyclic_subgroups(name):
+    return distinct_cyclic_subgroups(TORIC_MODELS[name])
+
+
+def _key(h):
+    return h.generator if h.generator is not None else min(h.members)
+
+
+def _toric_oracle(g, a, subs, stop_above=None):
+    """The per-subgroup scan: |AH| read off fast_product_set, in list order."""
+    ratios, best, arg = {}, Fraction(0), g.identity
+    for h in subs:
+        r = Fraction(fast_product_set(g, a, Subset.from_indices(g, h.members)).size, a.size)
+        ratios[_key(h)] = r
+        if r > best:
+            best, arg = r, _key(h)
+        if stop_above is not None and best > stop_above:
+            break
+    return ratios, best, arg
+
+
+def _covering_oracle(g):
+    """Max-coverage greedy over the cyclic subgroups, one product per subgroup."""
+    subs = distinct_cyclic_subgroups(g)
+    covered, out = Subset.singleton(g, g.identity), []
+    while covered.size < g.order:
+        best, best_size = None, covered.size
+        for h in subs:
+            cand = fast_product_set(g, covered, Subset.from_indices(g, h.members))
+            if cand.size > best_size:
+                best, best_size = (h, cand), cand.size
+        if best is None:
+            break
+        out.append(best[0])
+        covered = best[1]
+    return out
+
+
+def _coset_oracle(g, h, side):
+    """Cosets numbered by ascending smallest member, one loop over G."""
+    cid, reps = np.full(g.order, -1), []
+    members = np.array(h.members)
+    for x in range(g.order):
+        if cid[x] < 0:
+            cid[g.mul_vec(x, members) if side == "left" else g.rmul_vec(members, x)] = len(reps)
+            reps.append(x)
+    return cid.tolist(), reps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(TORIC_MODELS)), st.data())
+def test_coset_counts_match_per_subgroup_products(name, data):
+    g = TORIC_MODELS[name]
+    subs = _cyclic_subgroups(name)
+    if len(subs) > 40:
+        subs = data.draw(st.lists(st.sampled_from(subs), min_size=1, max_size=10,
+                                  unique_by=lambda h: h.members))
+    subs = list(subs)
+    if data.draw(st.booleans()):
+        # a subgroup without a generator takes the blocked-min rows
+        gens = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=2))
+        subs.insert(data.draw(st.integers(0, len(subs))), generated_subgroup(g, gens))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = Subset.from_members(g, rng.random(g.order) < data.draw(st.sampled_from([0.02, 0.2, 0.6])))
+    if a.size == 0:
+        a = Subset.singleton(g, int(rng.integers(g.order)))
+    stop = data.draw(st.sampled_from([None, Fraction(3, 2), Fraction(2), Fraction(4)]))
+    rep = toric_expansion_ratios(g, a, subs, stop_above=stop)
+    ratios, best, arg = _toric_oracle(g, a, subs, stop)
+    assert list(rep.ratios.items()) == list(ratios.items())
+    assert (rep.max_ratio, rep.argmax_generator) == (best, arg)
+    assert rep.argmax_generator in rep.ratios
+
+
+@pytest.mark.parametrize("name", sorted(TORIC_MODELS))
+def test_covering_tori_matches_per_subgroup_greedy(name):
+    g = _toric_models()[name]
+    assert covering_tori(g) == _covering_oracle(g)
+
+
+@pytest.mark.parametrize("name", sorted(TORIC_MODELS))
+def test_coset_partition_matches_loop_oracle(name):
+    g = _toric_models()[name]     # fresh model: no memoized partitions
+    subs = _cyclic_subgroups(name)
+    subs = list(subs[::max(1, len(subs) // 10)]) + [generated_subgroup(g, [1, g.order - 1])]
+    for h in subs:
+        for side in ("left", "right"):
+            cid, reps = coset_partition(g, h, side)
+            assert (cid.tolist(), reps.tolist()) == _coset_oracle(g, h, side)
+
+
+def test_coset_partition_sides_differ_on_a_non_normal_subgroup():
+    s3 = make_from_table(symmetric_group_table(3)[0], "S3")
+    h = next(h for h in distinct_cyclic_subgroups(s3) if h.order == 2)
+    left, right = coset_partition(s3, h, "left"), coset_partition(s3, h, "right")
+    assert left[0].tolist() == _coset_oracle(s3, h, "left")[0]
+    assert right[0].tolist() == _coset_oracle(s3, h, "right")[0] != left[0].tolist()
+
+
+def test_toric_argmax_key_without_a_generator():
+    # a subgroup given by members alone is keyed by its smallest member,
+    # in ratios and in argmax_generator alike
+    z12 = make_cyclic(12)
+    rep = toric_expansion_ratios(z12, Subset.from_indices(z12, [0, 1]),
+                                 [Subgroup(z12, (0, 4, 8))])
+    assert rep.ratios == {0: 3} and rep.argmax_generator == 0
+
+
+def test_first_toric_scan_memory_is_bounded():
+    g = make_product(make_cyclic(60), make_cyclic(60))
+    subs = distinct_cyclic_subgroups(g)
+    a = Subset.from_indices(g, np.random.default_rng(5).choice(3600, 900, replace=False))
+    tracemalloc.start()
+    try:
+        toric_expansion_ratios(g, a, subs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int16 coset matrix alone is 349 x 3600 x 2 B = 2.40 MiB
+    assert len(subs) * g.order * 2 / 2**20 > 2.39
+    assert peak < 4 * 2**20
+
+
+def test_toric_scan_past_the_order_limit_raises_first():
+    from kemplab.groups import DENSE_ORDER_LIMIT
+    g = make_product(make_cyclic(60), make_cyclic(60))
+    subs = [cyclic_subgroup(g, 1)] * (DENSE_ORDER_LIMIT ** 2 // g.order + 1)
+    a = Subset.singleton(g, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError) as exc:
+            toric_expansion_ratios(g, a, subs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.name == "order limit"
+    assert peak < 2**20
+
+
+def test_coset_minima_are_built_at_the_first_scan_and_kept(monkeypatch):
+    from kemplab import groups
+    builds = []
+    build = groups._coset_minima
+    monkeypatch.setattr(groups, "_coset_minima",
+                        lambda *args: builds.append(len(args[1])) or build(*args))
+    g = make_product(make_cyclic(12), make_cyclic(5))
+    subs = distinct_cyclic_subgroups(g)
+    a = Subset.from_indices(g, [0, 7, 13, 30])
+    assert builds == []
+    want = _toric_oracle(g, a, subs)
+    for _ in range(2):
+        rep = toric_expansion_ratios(g, a, list(subs))
+        assert (rep.ratios, rep.max_ratio, rep.argmax_generator) == want
+    assert covering_tori(g) == _covering_oracle(g)
+    assert builds == [len(subs)]
+    # one matrix per model: another list replaces it, and the first is rebuilt
+    rep = toric_expansion_ratios(g, a, subs[:3])
+    assert (rep.ratios, rep.max_ratio, rep.argmax_generator) == _toric_oracle(g, a, subs[:3])
+    rep = toric_expansion_ratios(g, a, subs)
+    assert (rep.ratios, rep.max_ratio, rep.argmax_generator) == want
+    assert builds == [len(subs), 3, len(subs)]
+
+
+def test_coset_minima_past_int16_orders():
+    # order 2^16 needs int32 entries; g<4096> has least member g mod 4096
+    g = make_cyclic(65536)
+    h = cyclic_subgroup(g, 4096)
+    cid, reps = coset_partition(g, h, "right")
+    assert cid.tolist() == (np.arange(65536) % 4096).tolist()
+    assert reps.tolist() == list(range(4096))
+    a = Subset.from_indices(g, [5, 4101, 70, 65535])
+    assert toric_expansion_ratios(g, a, [h]).ratios == {4096: 12}

@@ -384,3 +384,91 @@ def test_count_kernel_matches_its_oracles(name, data):
     for s in (a, b, product_set(g, h, b)):
         loop = [x for x in range(n) if s.translate(x, "left") == s]
         assert list(period_stabilizer(g, s).members) == loop
+
+
+# Z2^k of orders 32-1024, flat and as a product of two smaller cubes: the
+# Walsh-Hadamard route of the count kernel
+CUBE_MODELS = {
+    **{f"Z2^{k}": _cyclic_product((2,) * k) for k in range(5, 11)},
+    **{f"Z2^{j}xZ2^{k - j}": make_product(_cyclic_product((2,) * j),
+                                          _cyclic_product((2,) * (k - j)))
+       for j, k in ((2, 5), (3, 7), (4, 10))},
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(CUBE_MODELS)), st.data())
+def test_walsh_hadamard_route_matches_its_oracles(name, data):
+    from unittest import mock
+
+    from kemplab import groups
+    from kemplab.sumset import _pair_counts, _product_counts, _walsh_hadamard_fits
+    g = CUBE_MODELS[name]
+    n = g.order
+    assert _walsh_hadamard_fits(g.cyclic_shape, n, n)
+
+    def draw(max_size):
+        kind = data.draw(st.sampled_from(["empty", "full", "singleton", "random"]))
+        if kind == "random":
+            return Subset.from_indices(g, data.draw(st.sets(st.integers(0, n - 1),
+                                                            max_size=max_size)))
+        if kind == "singleton":
+            return Subset.singleton(g, data.draw(st.integers(0, n - 1)))
+        return getattr(Subset, kind)(g)
+
+    a, b = draw(n), draw(24)
+    counts = {(x, y): _product_counts(g, a if x == "a" else b, None if y is None else b)
+              for x, y in (("a", "b"), ("b", None), ("a", None))}
+    # the pair route reading digit arithmetic, not the memoized table
+    with mock.patch.object(groups, "EXHAUSTIVE_LIMIT", 0):
+        for (x, y), got in counts.items():
+            want = _pair_counts(g, a if x == "a" else b, None if y is None else b)
+            assert got.tolist() == want.tolist()
+    if a.size * b.size <= 2048:         # the naive loop makes one mul call per pair
+        assert fast_product_set(g, a, b) == product_set(g, a, b)
+        assert fast_product_set(g, b, a) == product_set(g, b, a)
+    assert fast_product_set(g, a, b).members.tolist() == (counts[("a", "b")] > 0).tolist()
+    for side in ("left", "right"):
+        prof = overlap_profile(g, a, side)
+        assert prof.counts.tolist() == counts[("a", None)].tolist()
+        assert prof.verify_mean_identity()
+    for s in (a, b):
+        # x S = S iff x s lies in S for every s in S
+        stable = s.members[g.mul_arr(g.elements()[:, None], s.indices())].all(axis=1)
+        assert list(period_stabilizer(g, s).members) == np.flatnonzero(stable).tolist()
+
+
+def test_walsh_hadamard_route_serves_only_order_32_cubes(monkeypatch):
+    from kemplab import sumset
+    calls = {"wht": 0, "fft": 0}
+    wht, rfftn = sumset._walsh_hadamard, np.fft.rfftn
+
+    def count(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(sumset, "_walsh_hadamard", count("wht", wht))
+    monkeypatch.setattr(np.fft, "rfftn", count("fft", rfftn))
+    for shape, route in (((2,) * 5, "wht"), ((2, 4, 2, 2), "fft"), ((2, 4, 2, 2, 2), "fft"),
+                         ((2,) * 4, None), ((32,), "fft")):
+        g = _cyclic_product(shape)
+        a = Subset.from_indices(g, range(0, g.order, 3))
+        b = Subset.from_indices(g, [0, 1, 5])
+        calls.update(wht=0, fft=0)
+        assert fast_product_set(g, a, b) == product_set(g, a, b)
+        assert overlap_profile(g, a).counts.tolist() == _overlap_oracle(g, a, "left")
+        assert {k for k, v in calls.items() if v} == ({route} if route else set()), shape
+
+
+def test_walsh_hadamard_bound_keeps_int64():
+    from kemplab.sumset import _walsh_hadamard_fits
+    # N |X| |Y| < 2^63 bounds every value of both transforms
+    assert _walsh_hadamard_fits((2,) * 31, 2**16, 2**16 - 1)
+    assert not _walsh_hadamard_fits((2,) * 31, 2**16, 2**16)
+    assert not _walsh_hadamard_fits((2,) * 31, 2**31, 2**31)
+    assert _walsh_hadamard_fits((2,) * 5, 32, 32)
+    assert not _walsh_hadamard_fits((2,) * 4, 16, 16)
+    assert not _walsh_hadamard_fits((2, 4, 2, 2), 64, 64)
+    assert not _walsh_hadamard_fits((4,) * 3, 64, 64)
