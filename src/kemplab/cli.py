@@ -70,8 +70,12 @@ def cmd_gen(args):
     else:
         raise ParseError(kv["kind"][1], f"gen supports cyclic/product, got {kind!r}")
 
-    factor_idx = int(kv.get("char-factor", ("0", 0))[0])
     shape = g.cyclic_shape
+    text, line = kv.get("char-factor", ("0", 0))
+    if not (text.isdecimal() and int(text) < len(shape)):
+        raise ParseError(line, f"char-factor = {text} names no factor of {g.label} "
+                               f"(0..{len(shape) - 1})")
+    factor_idx = int(text)
     m = shape[factor_idx]
     stride = 1
     for s in shape[factor_idx + 1:]:

@@ -217,9 +217,6 @@ class ToricReport:
     max_ratio: Fraction
     argmax_generator: int
 
-    def is_nonexpander(self, k) -> bool:
-        return self.max_ratio <= Fraction(k)
-
 
 def _cosets_met(reps: np.ndarray, idx: np.ndarray):
     """Yield (first row, counts) for blocks of rows of a coset-minima

@@ -4,8 +4,9 @@ The multivalued construction of the theory is made single-valued by a
 canonical choice: every element gets the breadth-first shortest product
 decomposition over the ball generators (lexicographic tie break), and
 its value is the signed total weight of that decomposition mod the loop
-weight unit.  Snapping then searches the finite character family for
-the closest exact homomorphism.
+weight unit.  A shortest word is already irreducible (see
+``almost_hom``), so no reduction step runs.  Snapping then searches the
+finite character family for the closest exact homomorphism.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from .expansion import deficit
 from .fibers import (best_arc_fit, bohr_stability, round_half_up,
                      structural_control)
 from .groups import (Arc, Character, GroupModel, Subgroup, cayley_bfs,
-                     cayley_word, coset_partition, default_character_modulus,
+                     coset_partition, default_character_modulus,
                      enumerate_characters, powers)
 from .pseudometric import (AlphaResult, PseudometricTable, SignContext,
-                           alpha_lambda, gamma_linearity,
-                           irreducible_concatenation, path_monotone_check,
-                           pseudometric_from_set, signed_weight)
+                           _check_lambda_range, _word_weights, alpha_lambda,
+                           gamma_linearity, path_monotone_check,
+                           pseudometric_from_set)
 from .sumset import Subset, bohr_preimage, fast_product_set
 
 PAIR_EXHAUSTIVE_LIMIT = 256
@@ -53,10 +54,6 @@ class AlmostHom:
 
     def value(self, g: int) -> Fraction:
         return Fraction(int(self.values_num[g]), self.den)
-
-    def unit_circle_value(self, g: int) -> Fraction:
-        """Value rescaled to the unit circle."""
-        return self.value(g) / self.alpha
 
     @property
     def totality_ok(self) -> bool:
@@ -97,9 +94,14 @@ def almost_hom(d: PseudometricTable, lam, gamma,
                alpha_mode: str = "beam", seed: int = 0) -> AlmostHom:
     """Canonical almost homomorphism from a near-linear pseudometric.
 
-    Every g gets the BFS decomposition over N(lambda), post-reduced to
-    an irreducible sequence; the value is the signed weight mod alpha.
-    Raises when N(lambda) fails to generate the group.
+    Every g gets its BFS word over N(lambda) \\ {e}; its value is the
+    word's signed weight mod alpha.  A shortest word is irreducible: a
+    window of length 2..4 with its product in N(lambda) could be replaced
+    by that product (or dropped, if it is e), giving a shorter word.  So
+    ``irreducible_concatenation`` would return every word unchanged, and
+    the weights are read off the BFS tree (``_word_weights``).  Raises
+    when lambda is outside that lemma's range or N(lambda) fails to
+    generate the group.
     """
     lam, gamma = Fraction(lam), Fraction(gamma)
     g_model = d.group
@@ -112,37 +114,23 @@ def almost_hom(d: PseudometricTable, lam, gamma,
         raise PreconditionError("alpha grid", "alpha is not on the weight grid")
     alpha_num = int(alpha_num)
 
-    gens = [g for g in d.ball_indices(lam).tolist() if g != g_model.identity]
-    parent = cayley_bfs(g_model, gens)
-    if len(parent) < g_model.order:
-        raise PreconditionError("generation",
-                                "N(lambda) does not generate the group")
-
-    values = np.zeros(g_model.order, dtype=np.int64)
-    max_len = 0
-    for g in range(g_model.order):
-        path = cayley_word(parent, g)
-        max_len = max(max_len, len(path))
-        if not path:
-            values[g] = 0
-            continue
-        reduced, _drift = irreducible_concatenation(ctx, lam, path)
-        t = signed_weight(ctx, reduced.entries)
-        tn = int(t * d.den) % alpha_num
-        values[g] = tn
-
+    _check_lambda_range(d, lam, gamma, 4)
+    words = _word_weights(ctx, lam)
+    if words is None:
+        raise PreconditionError("generation", "N(lambda) does not generate the group")
+    t, depth = words
+    values = t % alpha_num
     q, exhaustive = _additive_defect(g_model, values, alpha_num, d.den)
-    return AlmostHom(g_model, alpha, values, d.den, q, exhaustive, max_len)
+    return AlmostHom(g_model, alpha, values, d.den, q, exhaustive, int(depth.max()))
 
 
-def _additive_defect(g_model: GroupModel, values: np.ndarray, alpha_num: int,
-                     den: int, seed: int = 0):
+def _additive_defect(g_model: GroupModel, values: np.ndarray, alpha_num: int, den: int):
     """Worst circle defect of v(g1) + v(g2) - v(g1 g2); exhaustive for
-    small models, sampled above."""
+    small models, sampled (seed 0) above."""
     n = g_model.order
     idx = g_model.elements()
     exhaustive = n <= PAIR_EXHAUSTIVE_LIMIT
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     rows = range(n) if exhaustive else [int(rng.integers(0, n)) for _ in range(200)]
     worst = 0
     for g1 in rows:

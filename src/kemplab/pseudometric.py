@@ -28,9 +28,8 @@ import numpy as np
 from .errors import (AmbiguousSign, EmptyInput, MinimumResolution,
                      PreconditionError)
 from . import groups
-from .groups import (GroupModel, Subgroup, cayley_bfs, cayley_word,
-                     distinct_cyclic_subgroups, powers, require_dense_order,
-                     subgroup_from_members)
+from .groups import (GroupModel, Subgroup, cayley_bfs, distinct_cyclic_subgroups,
+                     powers, require_dense_order, subgroup_from_members)
 from .sumset import Subset, overlap_profile
 
 TRIANGLE_EXHAUSTIVE_LIMIT = 256
@@ -112,13 +111,10 @@ class PseudometricTable:
         return f"PseudometricTable(N={self.group.order}, rho={self.radius})"
 
 
-def pseudometric_from_set(g_model: GroupModel, a: Subset,
-                          side: str = "left") -> PseudometricTable:
+def pseudometric_from_set(g_model: GroupModel, a: Subset) -> PseudometricTable:
     """d_A(g1, g2) = mu(A) - mu(g1 A inter g2 A), radius <= mu(A)."""
     if a.size == 0:
         raise EmptyInput("pseudometric_from_set requires nonempty A")
-    if side != "left":
-        raise PreconditionError("side", "only the left-overlap pseudometric is defined")
     prof = overlap_profile(g_model, a, "left")
     norm_num = (a.size - prof.counts).astype(np.int64)
     return PseudometricTable(g_model, norm_num, g_model.order)
@@ -667,6 +663,24 @@ def _letters(ctx: SignContext, lam: Fraction):
                      for a in letters}
 
 
+def _word_weights(ctx: SignContext, lam: Fraction):
+    """(t, depth): each element's BFS word over N(lambda) \\ {identity},
+    as its signed weight numerator and its length, filled in one pass
+    over the parent dict in visiting order: t[x a] = t[x] + s(g0, a) ||a||.
+    None when the ball does not generate (before any sign is computed)."""
+    d = ctx.d
+    g = d.group
+    parent = cayley_bfs(g, [x for x in d.ball_indices(lam).tolist() if x != g.identity])
+    if len(parent) < g.order:
+        return None
+    weight = _letters(ctx, lam)[1]
+    t, depth = [0] * g.order, [0] * g.order
+    for y, (x, a) in list(parent.items())[1:]:     # after the identity
+        t[y] = t[x] + weight[a]
+        depth[y] = depth[x] + 1
+    return np.array(t, dtype=np.int64), np.array(depth, dtype=np.int64)
+
+
 def _power_loop_candidates(ctx: SignContext, lam: Fraction, n_max: int):
     """Deterministic seeds: constant loops (g, g, ..., g) of full order."""
     d = ctx.d
@@ -991,7 +1005,8 @@ def loop_quantization_check(ctx: SignContext, lam, alpha, trials: int,
     Loops are random walks over N(lambda) closed by a shortest
     generator path back to the identity (so irreducibility is not
     required, matching the statement's scope), capped at
-    n <= 4/mu(N(lambda)).
+    n <= 4/mu(N(lambda)).  Weights and closure lengths are read off the
+    BFS tree (``_word_weights``): a letter's word is the letter itself.
     """
     d = ctx.d
     lam, alpha = Fraction(lam), Fraction(alpha)
@@ -999,15 +1014,12 @@ def loop_quantization_check(ctx: SignContext, lam, alpha, trials: int,
         raise PreconditionError("lambda range", "need lambda > 1e5 gamma")
     g = d.group
     gens = [x for x in d.ball_indices(lam).tolist() if x != g.identity]
-    if not gens:
-        raise MinimumResolution("N(lambda) has no usable generator")
-    _, _, n_max = _loop_bounds(d, lam)
-
-    # BFS over the ball Cayley graph gives deterministic closure paths.
-    parent = cayley_bfs(g, gens)
-    if len(parent) < g.order:
+    words = _word_weights(ctx, lam)     # BFS words: deterministic closures
+    if words is None:   # N(lambda) = {e} too: a SignContext implies N > 1
         raise MinimumResolution("N(lambda) does not generate the group")
-    diameter = max(len(cayley_word(parent, x)) for x in parent)
+    _, _, n_max = _loop_bounds(d, lam)
+    tw, depth = words
+    diameter = int(depth.max())
     rng = np.random.default_rng(seed)
     max_res = Fraction(0)
     checked = 0
@@ -1017,14 +1029,10 @@ def loop_quantization_check(ctx: SignContext, lam, alpha, trials: int,
         p = g.identity
         for a in walk:
             p = g.mul(p, a)
-        closure = cayley_word(parent, g.inv(p))
-        loop = walk + closure
-        if len(loop) == 0 or len(loop) > n_max:
+        closure = g.inv(p)
+        if not 0 < walk_len + depth[closure] <= n_max:
             continue
-        t = abs(signed_weight(ctx, loop))
-        k = round(t / alpha)
-        res = abs(t - k * alpha)
+        t = Fraction(abs(int(tw[walk].sum() + tw[closure])), d.den)
+        max_res = max(max_res, abs(t - round(t / alpha) * alpha))
         checked += 1
-        if res > max_res:
-            max_res = res
     return QuantizationReport(checked, max_res, max_res <= alpha / 200)

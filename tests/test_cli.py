@@ -122,6 +122,17 @@ def test_gen_rejects_noise_beyond_available_cells(tmp_path, capsys, spec, messag
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("factor", ["2", "-1"])
+def test_gen_rejects_a_char_factor_naming_no_factor(tmp_path, capsys, factor):
+    path = tmp_path / "plant.spec"
+    path.write_text(PLANT_SPEC.replace("char-factor: 0", f"char-factor: {factor}"))
+    code = main(["gen", "--spec", str(path), "--out-prefix", str(tmp_path / "p")])
+    assert code == 2
+    assert f"line 3: char-factor = {factor} names no factor of Z48xZ5 (0..1)" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "p.group").exists()
+
+
 @pytest.mark.parametrize("spec, digests", [
     ("kind: cyclic\nn: 4099\narc-a: 0 40\narc-b: 0 50\nnoise-a: 1\nnoise-b: 1\nseed: 3\n",
      {"group": "3b9821de88cc2191", "a": "61aef9e3630226f8", "b": "5ececb012f48dbf0"}),

@@ -6,16 +6,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kemplab import (AlmostHom, Arc, FiberRigidityReport, PipelineConfig,
-                     Subset, alpha_lambda,
-                     almost_hom, bohr_preimage, cyclic_subgroup,
-                     enumerate_characters, fiberwise_rigidity_report,
-                     gamma_linearity, inverse_pipeline, kernel_norm_check, make_cyclic,
-                     make_product, pseudometric_from_set, snap_to_character)
+from kemplab import (AlmostHom, AlphaResult, Arc, FiberRigidityReport,
+                     LambdaSequence, PipelineConfig, QuantizationReport,
+                     SignContext, Subset, alpha_lambda, almost_hom,
+                     bohr_preimage, cyclic_subgroup, enumerate_characters,
+                     fiberwise_rigidity_report, gamma_linearity, inverse_pipeline,
+                     irreducible_concatenation, kernel_norm_check,
+                     loop_quantization_check, make_cyclic, make_from_table,
+                     make_product, pseudometric, pseudometric_from_set,
+                     snap_to_character, symmetric_group_table)
 from kemplab.errors import (NoCharacterWithinBound, PreconditionError,
                             StageError)
-from kemplab.groups import Character
+from kemplab.groups import Character, cayley_bfs, cayley_word
 from kemplab.homextract import _auto_lambda
+from kemplab.pseudometric import _loop_bounds, signed_weight
 
 
 def planted(la=10, lb=12):
@@ -274,3 +278,110 @@ def test_golden_kernel_norm_and_auto_lambda_noisy_arcs():
     for n, length in ((400, 185), (200, 95)):
         z, d, _ = noisy_arc(n, length)
         assert _auto_lambda(d, z) == Fraction(3, 200)
+
+
+# -- values read off the BFS tree, against the per-word lemma path ----------
+
+def bfs_instance(case):
+    # a cyclic, a product and a table model, each exactly linear
+    if case == "z360 arc":
+        g, d = arc_instance()
+    elif case == "planted":
+        g = make_product(make_cyclic(48), make_cyclic(5))
+        d = pseudometric_from_set(g, Subset.from_indices(g, range(20)))
+    else:
+        g = make_product(make_from_table(symmetric_group_table(3)[0], "S3"), make_cyclic(20))
+        d = pseudometric_from_set(g, Subset.from_indices(g, [x for x in range(120)
+                                                             if x % 20 < 8]))
+    assert gamma_linearity(d, 0).holds
+    lam = _auto_lambda(d, g)
+    parent = cayley_bfs(g, [x for x in d.ball_indices(lam).tolist() if x != g.identity])
+    return g, d, lam, parent
+
+
+BFS_CASES = ["z360 arc", "planted", "s3 x z20"]
+
+
+@pytest.mark.parametrize("case", BFS_CASES)
+def test_almost_hom_equals_the_reduced_weights_of_the_bfs_words(case):
+    g, d, lam, parent = bfs_instance(case)
+    if case == "z360 arc":
+        assert lam == Fraction(5, 360)
+    ctx = SignContext(d, 0)
+    words = [cayley_word(parent, x) for x in range(g.order)]
+    hom = almost_hom(d, lam, 0, alpha_result=alpha_lambda(d, lam, 0, mode="beam"))
+    alpha_num = int(hom.alpha * d.den)
+    expect = []
+    for x, word in enumerate(words):
+        if word:
+            # a shortest word has no window to merge
+            seq, drift = irreducible_concatenation(ctx, lam, word)
+            assert (seq.entries, seq.irreducible, drift) == (tuple(word), True, 0)
+        expect.append(int(signed_weight(ctx, word) * d.den) % alpha_num)
+    assert hom.values_num.tolist() == expect
+    assert hom.max_path_len == max(len(word) for word in words)
+
+
+def quantization_by_words(ctx, lam, alpha, trials, seed):
+    """loop_quantization_check with each closure rebuilt by cayley_word
+    and each loop weighed by signed_weight: the same draws, per word."""
+    d = ctx.d
+    g = d.group
+    gens = [x for x in d.ball_indices(lam).tolist() if x != g.identity]
+    n_max = _loop_bounds(d, lam)[2]
+    parent = cayley_bfs(g, gens)
+    diameter = max(len(cayley_word(parent, x)) for x in parent)
+    rng = np.random.default_rng(seed)
+    max_res, checked = Fraction(0), 0
+    for _ in range(trials):
+        walk_len = int(rng.integers(0, max(1, n_max - diameter)))
+        walk = [gens[int(i)] for i in rng.integers(0, len(gens), walk_len)]
+        p = g.identity
+        for a in walk:
+            p = g.mul(p, a)
+        loop = walk + cayley_word(parent, g.inv(p))
+        if len(loop) == 0 or len(loop) > n_max:
+            continue
+        t = abs(signed_weight(ctx, loop))
+        max_res = max(max_res, abs(t - round(t / alpha) * alpha))
+        checked += 1
+    return QuantizationReport(checked, max_res, max_res <= alpha / 200)
+
+
+@pytest.mark.parametrize("case", BFS_CASES + ["z360 wide ball"])
+def test_loop_quantization_equals_the_per_word_loop(case):
+    if case == "z360 wide ball":
+        # letters up to 100 cells: some walks pass half the circle, so
+        # their closures go the long way and the loop weighs +-1
+        (g, d), lam = arc_instance(), Fraction(100, 360)
+    else:
+        g, d, lam, _ = bfs_instance(case)
+    ctx = SignContext(d, 0)
+    reports = []
+    for alpha, trials, seed in ((Fraction(1), 120, 0), (Fraction(5, 7), 120, 1),
+                                (Fraction(3, 11), 60, 2)):
+        rep = loop_quantization_check(ctx, lam, alpha, trials, seed=seed)
+        assert rep == quantization_by_words(ctx, lam, alpha, trials, seed)
+        assert rep.checked > 0
+        reports.append(rep.max_residual)
+    if case == "z360 wide ball":
+        assert reports == [0, Fraction(2, 7), Fraction(1, 11)]
+
+
+def test_almost_hom_checks_the_lambda_range_before_any_sign(monkeypatch):
+    # the noisy Z400 arc at gamma = 2/400: lambda = 3/200 is not above
+    # 4 gamma and 1/20 is not below rho/16 - gamma
+    z, d, gamma = noisy_arc(400, 185)
+    assert gamma == Fraction(1, 200)
+    signs = []
+    sign = pseudometric.relative_sign
+    monkeypatch.setattr(pseudometric, "relative_sign",
+                        lambda *args: signs.append(args) or sign(*args))
+    for lam in (Fraction(3, 200), Fraction(1, 20)):
+        loop = LambdaSequence.build(d, lam, [1] * 400)
+        given = AlphaResult(Fraction(1), loop, Fraction(0), Fraction(1), "beam",
+                            False, False, 400)
+        with pytest.raises(PreconditionError) as exc:
+            almost_hom(d, lam, gamma, alpha_result=given)
+        assert exc.value.name == "lambda range"
+    assert signs == []

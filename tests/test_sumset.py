@@ -169,6 +169,20 @@ def test_batch_kernel_matches_product_set():
                           np.array([int(m).bit_count() for m in b_masks]))
 
 
+def test_batch_kernel_covers_z32_and_refuses_wider_masks():
+    z = make_cyclic(32)
+    rng = np.random.default_rng(6)
+    b_masks = rng.integers(1, 1 << 32, 40, dtype=np.uint64).astype(np.uint32)
+    a_idx = [0, 1, 17, 31]
+    out = cyclic_sumset_batch(32, a_idx, b_masks)
+    a = Subset.from_indices(z, a_idx)
+    for j in range(len(b_masks)):
+        assert int(out[j]) == product_set(z, a, Subset(z, int(b_masks[j]))).mask
+    with pytest.raises(PreconditionError) as exc:
+        cyclic_sumset_batch(33, a_idx, b_masks)
+    assert exc.value.name == "mask width"
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(0, 16), min_size=1, max_size=17),
        st.lists(st.integers(0, 16), min_size=1, max_size=17))
