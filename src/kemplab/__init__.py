@@ -28,8 +28,7 @@ from .expansion import (DeficitReport, DirectionCover, ProbeReport,
                         toric_expansion_ratios)
 from .fibers import (FiberProfile, SpilloverResult, TransferResult,
                      best_arc_fit, bohr_stability, fiber_profile, level_set,
-                     projection_subset, spillover_bound, structural_control,
-                     transfer)
+                     spillover_bound, structural_control, transfer)
 from .pseudometric import (AlphaResult, BallGrowthResult, LambdaSequence,
                            LinearityReport, MonotonicityReport,
                            PathMonotoneReport, PseudometricReport,

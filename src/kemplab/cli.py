@@ -1,16 +1,18 @@
 """Command-line harness: instance generation, analyses, suites, benchmarks.
 
 One subcommand per operation family, batch-oriented, no interactive
-mode.  Exit codes: 0 ok, 1 verdict failure, 2 usage error, 3 internal
-error.  Reports are JSON (rationals as "p/q") with timings segregated
-under a clearly labeled float field; identical seeds and configs give
-byte-identical reports modulo that field.
+mode.  Exit codes: 0 ok, 1 verdict failure, 2 usage error (any
+malformed file or flag), 3 internal error.  Reports are JSON (rationals
+as "p/q") with timings segregated under a clearly labeled float field;
+identical seeds and configs give byte-identical reports modulo that
+field.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import inspect
+import math
 import sys
 import time
 from fractions import Fraction
@@ -21,8 +23,8 @@ from . import io as kio
 from .errors import KemplabError, ParseError
 from .expansion import deficit, nonexpander_probe
 from .fibers import transfer
-from .groups import Arc, Character, cyclic_subgroup, make_cyclic, make_product
-from .homextract import PipelineConfig, inverse_pipeline
+from .groups import Arc, Character, cyclic_subgroup, make_cyclic
+from .homextract import PipelineConfig, _auto_lambda, inverse_pipeline
 from .pseudometric import (alpha_lambda, gamma_linearity, gamma_monotonicity,
                            pseudometric_from_set, verify_pseudometric)
 from .sumset import Subset, bohr_preimage, fast_product_set, product_set
@@ -31,15 +33,10 @@ from . import suites as suite_mod
 EXIT_OK, EXIT_VERDICT, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
-def _env_threads():
-    return os.environ.get("KEMPLAB_THREADS", "1")
-
-
 def _base_report(args, command):
     return {
         "command": command,
         "config": {k: str(v) for k, v in vars(args).items() if k != "func"},
-        "kemplab_threads": _env_threads(),
     }
 
 
@@ -52,80 +49,54 @@ def _emit(report, args, verdict_ok=True):
 
 
 def cmd_gen(args):
-    kv = kio._parse_kv(open(args.spec).read())
-
-    def need(key):
-        if key not in kv:
-            raise ParseError(1, f"planting spec missing '{key}'")
-        return kv[key][0]
-
-    kind = need("kind")
-    if kind == "product":
-        factors = [int(x) for x in need("factors").replace(",", " ").split()]
-        g = make_cyclic(factors[0])
-        for f in factors[1:]:
-            g = make_product(g, make_cyclic(f))
-    elif kind == "cyclic":
-        g = make_cyclic(int(need("n")))
-    else:
-        raise ParseError(kv["kind"][1], f"gen supports cyclic/product, got {kind!r}")
-
+    f, line = kio.read_fields(args.spec, kio.PLANTING_FIELDS)
+    g = kio.group_from_fields(f, line)
     shape = g.cyclic_shape
-    text, line = kv.get("char-factor", ("0", 0))
-    if not (text.isdecimal() and int(text) < len(shape)):
-        raise ParseError(line, f"char-factor = {text} names no factor of {g.label} "
-                               f"(0..{len(shape) - 1})")
-    factor_idx = int(text)
+    factor_idx = f["char-factor"]
+    if not 0 <= factor_idx < len(shape):
+        raise ParseError(line["char-factor"], f"char-factor = {factor_idx} names no factor "
+                                              f"of {g.label} (0..{len(shape) - 1})")
     m = shape[factor_idx]
-    stride = 1
-    for s in shape[factor_idx + 1:]:
-        stride *= s
-    image = (np.arange(g.order) // stride) % m
+    image = (np.arange(g.order) // math.prod(shape[factor_idx + 1:])) % m
     # the projection onto a cyclic factor is a surjective character
     chi = Character(g, m, image, True)
     if not chi.verify():
         raise AssertionError(f"projection onto factor {factor_idx} is not a character")
+    rng = np.random.default_rng(f["seed"])
 
-    sa, la = (int(x) for x in need("arc-a").split())
-    sb, lb = (int(x) for x in need("arc-b").split())
-    a = bohr_preimage(g, chi, Arc(m, sa, la))
-    b = bohr_preimage(g, chi, Arc(m, sb, lb))
-
-    noise_a = int(kv.get("noise-a", ("0", 0))[0])
-    noise_b = int(kv.get("noise-b", ("0", 0))[0])
-    strata = kv.get("strata", ("adjacent", 0))[0]
-    seed = int(kv.get("seed", ("0", 0))[0])
-    rng = np.random.default_rng(seed)
-
-    def perturb(s, key, k, arc_start, arc_len):
+    def planted(side):
+        # the arc's preimage, then k cells dropped and (unless trimmed)
+        # k added in the two columns after the arc
+        (start, length), key = f["arc-" + side], "noise-" + side
+        if not 0 <= length <= m:
+            raise ParseError(line["arc-" + side], f"arc-{side} length {length} not in 0..{m}")
+        s, k = bohr_preimage(g, chi, Arc(m, start, length)), f[key]
         if k == 0:
             return s
         if k > s.size:
-            raise ParseError(kv[key][1], f"{key} = {k} exceeds the {s.size} cells "
-                                         f"available to drop")
+            raise ParseError(line[key], f"{key} = {k} exceeds the {s.size} cells "
+                                        f"available to drop")
         drop = rng.choice(s.indices(), size=k, replace=False)
         out = s.difference(Subset.from_indices(g, drop))
-        if strata == "trim":
+        if f["strata"] == "trim":
             return out
-        cols = [(arc_start + arc_len) % m, (arc_start + arc_len + 1) % m]
+        cols = [(start + length) % m, (start + length + 1) % m]
         avail = [x for x in range(g.order)
                  if not s.contains(x) and int(image[x]) in cols]
         if k > len(avail):
-            raise ParseError(kv[key][1], f"{key} = {k} exceeds the {len(avail)} cells "
-                                         f"available to add next to the arc")
+            raise ParseError(line[key], f"{key} = {k} exceeds the {len(avail)} cells "
+                                        f"available to add next to the arc")
         add = rng.choice(avail, size=k, replace=False)
         return out.union(Subset.from_indices(g, add))
 
-    a = perturb(a, "noise-a", noise_a, sa, la)
-    b = perturb(b, "noise-b", noise_b, sb, lb)
-
+    a, b = planted("a"), planted("b")
     prefix = args.out_prefix
     kio.save_group(prefix + ".group", g)
     kio.save_subset(prefix + ".a", a, style="indices")
     kio.save_subset(prefix + ".b", b, style="indices")
     report = _base_report(args, "gen")
     report.update({"group": g.label, "mu_a": kio.frac_str(a.measure()),
-                   "mu_b": kio.frac_str(b.measure()), "seed": seed,
+                   "mu_b": kio.frac_str(b.measure()), "seed": f["seed"],
                    "files": [prefix + ".group", prefix + ".a", prefix + ".b"]})
     return _emit(report, args)
 
@@ -149,8 +120,7 @@ def cmd_deficit(args):
     })
     ok = True
     if args.delta is not None:
-        delta = kio.parse_frac(args.delta)
-        ok = rep.nearly_minimal(delta)
+        ok = rep.nearly_minimal(args.delta)
         report["nearly_minimal"] = ok
     report["timings"] = {"seconds_float": time.time() - t0}
     return _emit(report, args, ok)
@@ -159,9 +129,8 @@ def cmd_deficit(args):
 def cmd_transfer(args):
     g, a, b = _load_pair(args)
     h = cyclic_subgroup(g, args.subgroup_gen)
-    delta = kio.parse_frac(args.delta)
     t0 = time.time()
-    res = transfer(g, h, a, b, delta)
+    res = transfer(g, h, a, b, args.delta)
     report = _base_report(args, "transfer")
     report.update({
         "quotient_order": res.quotient.order,
@@ -176,12 +145,11 @@ def cmd_transfer(args):
 
 
 def cmd_pseudo(args):
-    g = kio.load_group(args.group)
-    a = kio.load_subset(args.set_a, g)
+    g, a, _ = _load_pair(args)
     t0 = time.time()
     table = pseudometric_from_set(g, a)
     rep = verify_pseudometric(g, table.dense_num())
-    gamma = Fraction(0) if args.gamma in (None, "exact") else kio.parse_frac(args.gamma)
+    gamma = Fraction(0) if args.gamma == "exact" else args.gamma
     lin = gamma_linearity(table, gamma)
     mono = gamma_monotonicity(table, gamma)
     report = _base_report(args, "pseudo")
@@ -200,15 +168,10 @@ def cmd_pseudo(args):
 
 
 def cmd_alpha(args):
-    g = kio.load_group(args.group)
-    a = kio.load_subset(args.set_a, g)
+    g, a, _ = _load_pair(args)
     table = pseudometric_from_set(g, a)
-    gamma = Fraction(0) if args.gamma in (None, "exact") else kio.parse_frac(args.gamma)
-    if args.lam in (None, "auto"):
-        from .homextract import _auto_lambda
-        lam = _auto_lambda(table, g)
-    else:
-        lam = kio.parse_frac(args.lam)
+    gamma = Fraction(0) if args.gamma == "exact" else args.gamma
+    lam = _auto_lambda(table, g) if args.lam == "auto" else args.lam
     t0 = time.time()
     res = alpha_lambda(table, lam, gamma, mode=args.mode, seed=args.seed)
     report = _base_report(args, "alpha")
@@ -226,44 +189,28 @@ def cmd_alpha(args):
 
 
 def _pipeline_config_from_file(path: str, cfg: PipelineConfig):
-    """Pipeline config file: delta, lambda (p/q|auto), gamma
-    (exact|fitted), target-modulus, shrink (p/q|auto), seed."""
-    kv = kio._parse_kv(open(path).read())
-    delta = None
-    for key, (val, ln) in kv.items():
-        if key == "delta":
-            delta = kio.parse_frac(val)
-        elif key == "lambda":
-            cfg.lam = None if val == "auto" else kio.parse_frac(val)
-        elif key == "gamma":
-            cfg.gamma_policy = "exact" if val == "exact" else "fitted"
-        elif key == "target-modulus":
-            cfg.target_modulus = int(val)
-        elif key == "shrink":
-            cfg.shrink_target = None if val == "auto" else kio.parse_frac(val)
-        elif key == "seed":
-            cfg.seed = int(val)
-        else:
-            raise ParseError(ln, f"unknown pipeline config key {key!r}")
-    return delta
+    """Set cfg from a pipeline config file and return its delta (or None)."""
+    f, _ = kio.read_fields(path, kio.PIPELINE_FIELDS)
+    for key, attr in (("lambda", "lam"), ("gamma", "gamma_policy"), ("shrink", "shrink_target"),
+                      ("target-modulus", "target_modulus"), ("seed", "seed")):
+        if f[key] is not None:
+            setattr(cfg, attr, None if f[key] == "auto" else f[key])
+    return f["delta"]
 
 
 def cmd_pipeline(args):
     g, a, b = _load_pair(args)
     cfg = PipelineConfig(seed=args.seed)
-    delta = None
-    if args.config:
-        delta = _pipeline_config_from_file(args.config, cfg)
-    if args.lam not in (None, "auto"):
-        cfg.lam = kio.parse_frac(args.lam)
-    if args.gamma not in (None, "exact"):
+    file_delta = _pipeline_config_from_file(args.config, cfg) if args.config else None
+    if args.lam != "auto":
+        cfg.lam = args.lam
+    if args.gamma == "fitted":
         cfg.gamma_policy = "fitted"
     if args.target_modulus:
         cfg.target_modulus = args.target_modulus
-    if args.shrink not in (None, "auto"):
-        cfg.shrink_target = kio.parse_frac(args.shrink)
-    if args.delta is not None:
-        delta = kio.parse_frac(args.delta)
+    if args.shrink != "auto":
+        cfg.shrink_target = args.shrink
+    delta = file_delta if args.delta is None else args.delta
     if delta is None:
         raise ParseError(1, "pipeline needs --delta or a config file with delta")
     t0 = time.time()
@@ -286,8 +233,7 @@ def cmd_pipeline(args):
 def cmd_probe(args):
     g = kio.load_group(args.group)
     t0 = time.time()
-    res = nonexpander_probe(g, kio.parse_frac(args.k_ratio), args.budget,
-                            seed=args.seed)
+    res = nonexpander_probe(g, args.k_ratio, args.budget, seed=args.seed)
     report = _base_report(args, "probe")
     report.update({
         "k": kio.frac_str(res.k), "budget": res.budget,
@@ -301,20 +247,10 @@ def cmd_probe(args):
 
 
 def cmd_suite(args):
-    if args.suite not in suite_mod.SUITES:
-        sys.stderr.write(f"unknown suite {args.suite!r}; choices: "
-                         + ", ".join(sorted(suite_mod.SUITES)) + "\n")
-        return EXIT_USAGE
     fn = suite_mod.SUITES[args.suite]
-    kwargs = {}
-    import inspect
-    sig = inspect.signature(fn)
-    if "seed" in sig.parameters:
-        kwargs["seed"] = args.seed
-    if "trials" in sig.parameters and args.budget:
-        kwargs["trials"] = args.budget
-    if "budget" in sig.parameters and args.budget:
-        kwargs["budget"] = args.budget
+    params = inspect.signature(fn).parameters
+    kwargs = {"seed": args.seed} if "seed" in params else {}
+    kwargs.update({k: args.budget for k in ("trials", "budget") if k in params and args.budget})
     res = fn(**kwargs)
     report = _base_report(args, "suite")
     report.update({
@@ -361,15 +297,14 @@ def build_parser():
                                 description="measure-expansion laboratory on finite group models")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, group=True, pair=True):
-        if group:
-            sp.add_argument("--group", required=True, help="group spec file")
+    def common(sp, pair=True):
+        sp.add_argument("--group", required=True, help="group spec file")
         if pair:
             sp.add_argument("--set-a", required=True, dest="set_a")
             sp.add_argument("--set-b", dest="set_b")
         sp.add_argument("--out", help="report file (default stdout)")
         sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=kio.nonneg_int, default=0)
 
     sp = sub.add_parser("gen", help="write planted instance files")
     sp.add_argument("--spec", required=True)
@@ -380,50 +315,50 @@ def build_parser():
 
     sp = sub.add_parser("deficit", help="expansion deficit of a pair")
     common(sp)
-    sp.add_argument("--delta", help="near-minimality threshold p/q")
+    sp.add_argument("--delta", type=kio.fraction(), help="near-minimality threshold p/q")
     sp.set_defaults(func=cmd_deficit)
 
     sp = sub.add_parser("transfer", help="quotient transfer certificates")
     common(sp)
     sp.add_argument("--subgroup-gen", type=int, required=True, dest="subgroup_gen")
-    sp.add_argument("--delta", required=True)
+    sp.add_argument("--delta", type=kio.fraction(), required=True)
     sp.set_defaults(func=cmd_transfer)
 
     sp = sub.add_parser("pseudo", help="pseudometric table checks")
     common(sp, pair=False)
     sp.add_argument("--set-a", required=True, dest="set_a")
-    sp.add_argument("--gamma", default="exact")
+    sp.add_argument("--gamma", type=kio.fraction("exact"), default="exact")
     sp.add_argument("--csv", help="dump the table as rational CSV")
     sp.set_defaults(func=cmd_pseudo)
 
     sp = sub.add_parser("alpha", help="loop weight unit search")
     common(sp, pair=False)
     sp.add_argument("--set-a", required=True, dest="set_a")
-    sp.add_argument("--lambda", dest="lam", default="auto")
-    sp.add_argument("--gamma", default="exact")
+    sp.add_argument("--lambda", dest="lam", type=kio.fraction("auto"), default="auto")
+    sp.add_argument("--gamma", type=kio.fraction("exact"), default="exact")
     sp.add_argument("--mode", choices=["exhaustive", "beam"], default="beam")
     sp.set_defaults(func=cmd_alpha)
 
     sp = sub.add_parser("pipeline", help="end-to-end character recovery")
     common(sp)
-    sp.add_argument("--delta")
+    sp.add_argument("--delta", type=kio.fraction())
     sp.add_argument("--config", help="pipeline config file (delta, lambda, "
                                      "gamma, target-modulus, shrink, seed)")
-    sp.add_argument("--lambda", dest="lam", default="auto")
-    sp.add_argument("--gamma", default="exact")
-    sp.add_argument("--target-modulus", type=int, dest="target_modulus")
-    sp.add_argument("--shrink", default="auto")
+    sp.add_argument("--lambda", dest="lam", type=kio.fraction("auto"), default="auto")
+    sp.add_argument("--gamma", choices=["exact", "fitted"], default="exact")
+    sp.add_argument("--target-modulus", type=kio.pos_int, dest="target_modulus")
+    sp.add_argument("--shrink", type=kio.fraction("auto"), default="auto")
     sp.set_defaults(func=cmd_pipeline)
 
     sp = sub.add_parser("probe", help="toric nonexpander search")
     common(sp, pair=False)
-    sp.add_argument("--k-ratio", default="2", dest="k_ratio")
+    sp.add_argument("--k-ratio", type=kio.fraction(), default="2", dest="k_ratio")
     sp.add_argument("--budget", type=int, default=100)
     sp.set_defaults(func=cmd_probe)
 
     sp = sub.add_parser("suite", help="run a named verification suite")
-    sp.add_argument("--suite", required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--suite", required=True, choices=sorted(suite_mod.SUITES))
+    sp.add_argument("--seed", type=kio.nonneg_int, default=0)
     sp.add_argument("--budget", type=int)
     sp.add_argument("--out")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
@@ -433,7 +368,7 @@ def build_parser():
     sp.add_argument("--n", type=int, default=65536)
     sp.add_argument("--size", type=int, default=2048)
     sp.add_argument("--trials", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=kio.nonneg_int, default=0)
     sp.add_argument("--out")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(func=cmd_bench)
@@ -451,8 +386,8 @@ def main(argv=None):
     except ParseError as e:
         sys.stderr.write(f"parse error: {e}\n")
         return EXIT_USAGE
-    except FileNotFoundError as e:
-        sys.stderr.write(f"missing file: {e}\n")
+    except (OSError, UnicodeDecodeError) as e:     # a missing, unreadable or binary file
+        sys.stderr.write(f"file error: {e}\n")
         return EXIT_USAGE
     except KemplabError as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")

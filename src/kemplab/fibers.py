@@ -70,12 +70,6 @@ def level_set(g_model: GroupModel, h: Subgroup, a: Subset, r, s,
     return a_level, Subset.from_members(qmodel, in_level), qmodel, proj
 
 
-def projection_subset(g_model: GroupModel, h: Subgroup, a: Subset):
-    """pi(A) in the quotient model (all cosets meeting A)."""
-    qmodel, proj = quotient(g_model, h)
-    return Subset.from_indices(qmodel, proj[a.indices()]), qmodel, proj
-
-
 @dataclass
 class SpilloverResult:
     rhs: Fraction            # the continuum level-set formula

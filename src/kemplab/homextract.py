@@ -33,6 +33,7 @@ from .sumset import Subset, bohr_preimage, fast_product_set
 PAIR_EXHAUSTIVE_LIMIT = 256
 DENOISE_EVAL_BUDGET = 240   # candidate sets the denoiser scores before it stops
 STEP_PROBE = 10             # translates offered per target overlap in one step
+SAMPLE_SEED = 0             # fiberwise_rigidity_report: sampled translate triples
 
 
 @dataclass
@@ -527,8 +528,7 @@ def _concentration(counts: np.ndarray, hsize: int, keep_mass: Fraction):
 
 def fiberwise_rigidity_report(g_model: GroupModel, h: Subgroup, a: Subset,
                               b: Subset, delta, c=Fraction(1, 2),
-                              eta: Optional[Fraction] = None,
-                              sample_seed: int = 0) -> FiberRigidityReport:
+                              eta: Optional[Fraction] = None) -> FiberRigidityReport:
     """Measure the near-rigidity clauses on a short-fiber instance.
 
     Preconditions: every A fiber (left cosets) and B fiber (right
@@ -602,7 +602,7 @@ def fiberwise_rigidity_report(g_model: GroupModel, h: Subgroup, a: Subset,
 
     # fiberwise linearity: lifted offset differences must telescope
     # exactly around any intermediate coset (mod the fiber circle)
-    rng = np.random.default_rng(sample_seed)
+    rng = np.random.default_rng(SAMPLE_SEED)
     defect = 0
     sampled = 0
     coset_list = list(per_coset_a)

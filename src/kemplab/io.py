@@ -1,26 +1,30 @@
 """Harness file formats and report serialization.
 
-Text formats are line-oriented ``key: value`` with ``#`` comments.
-Group files are written as ``kind: factors`` with one ``factor:`` line
-per factor of the model, most significant first: ``cyclic n`` or
-``table`` followed by its rows separated by ``/``.  The older
-``kind: cyclic|product|table`` files (table kind embeds the N x N
-matrix) still load.  Subset files: explicit ``indices:`` or a hex
-``mask:`` with declared n.  All rationals serialize as "p/q" strings so
-golden files carry no precision loss.
+Input files are ``key: value`` lines with ``#`` comments, each kind read
+by ``read_fields`` through its table of key -> (converter, default); any
+bad key or value raises ParseError naming the line, and the converters
+also type the CLI's flags.  Group files are written as ``kind: factors``
+with one ``factor:`` line per factor, most significant first: ``cyclic
+n`` or ``table`` with its rows separated by ``/``; the older ``kind:
+cyclic|product|table`` files still load.  Subset files carry ``n`` and
+one of ``indices:`` or a hex ``mask:``.  All rationals serialize as
+"p/q" strings so golden files carry no precision loss.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
-from .groups import (GroupModel, make_cyclic, make_from_table, make_product,
-                     require_dense_order)
+from .groups import GroupModel, make_cyclic, make_from_table, require_dense_order
 from .sumset import Subset
+
+REQUIRED = object()     # default of a key that must appear
+MANY = object()         # default of a key that may repeat: the list of its values
 
 
 def frac_str(x) -> str:
@@ -28,107 +32,175 @@ def frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    s = s.strip()
-    if "/" in s:
-        p, q = s.split("/", 1)
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))
+# -- converters: text -> value, ValueError on bad text ------------------------
+
+def nonneg_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("expected an integer >= 0")
+    return value
 
 
-def _parse_kv(text: str):
-    """key -> (value, lineno) with multi-line table payload support."""
-    out = {}
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        raw = lines[i]
+def pos_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("expected an integer >= 1")
+    return value
+
+
+def int_list(item, arity=None):
+    """Integers split at spaces or commas, each read by ``item``: ``arity`` of them, if given."""
+    def convert(text: str) -> list:
+        values = [item(x) for x in text.strip("[]").replace(",", " ").split()]
+        if arity is not None and len(values) != arity:
+            raise ValueError(f"expected {arity} integers, got {len(values)}")
+        return values
+    return convert
+
+
+def fraction(*words):
+    """``p/q`` or an integer as an exact Fraction, or one of ``words`` as
+    itself; a zero denominator is a ValueError like any other bad text."""
+    def fraction(text: str):     # the name argparse shows
+        if text in words:
+            return text
+        p, slash, q = text.partition("/")
+        num, den = int(p), int(q) if slash else 1
+        if den == 0:
+            raise ValueError("zero denominator")
+        return Fraction(num, den)
+    return fraction
+
+
+def choice(*words):
+    def convert(text: str) -> str:
+        if text not in words:
+            raise ValueError("expected " + " or ".join(words))
+        return text
+    return convert
+
+
+def _table(text: str) -> list:
+    """N rows of N entries in 0..N-1, the rows separated by ``/``."""
+    rows = text.split("/")
+    n = len(rows)
+    table = [int_list(nonneg_int, n)(row) for row in rows]
+    if any(x >= n for row in table for x in row):
+        raise ValueError(f"table entries must lie in 0..{n - 1}")
+    return table
+
+
+def _factor(text: str) -> GroupModel:
+    """A ``factor:`` value, ``cyclic n`` or ``table r0 / r1 / ...``, as a model."""
+    kind, _, rest = text.partition(" ")
+    if kind == "cyclic":
+        return make_cyclic(pos_int(rest))
+    if kind == "table":
+        return make_from_table(_table(rest))
+    raise ValueError(f"unknown factor kind {kind!r}")
+
+
+# -- the field reader ----------------------------------------------------------
+
+GROUP_FIELDS = {
+    "kind": (choice("factors", "cyclic", "product", "table"), REQUIRED),
+    "label": (str, None),
+    "factor": (_factor, MANY),
+    "n": (pos_int, None),
+    "factors": (int_list(pos_int), None),
+    "table": (_table, None),
+}
+SUBSET_FIELDS = {
+    "n": (pos_int, REQUIRED),
+    "mask": (lambda text: int(text, 16), None),
+    "indices": (int_list(nonneg_int), None),
+}
+PLANTING_FIELDS = {
+    "kind": (choice("cyclic", "product"), REQUIRED),
+    "n": GROUP_FIELDS["n"],
+    "factors": GROUP_FIELDS["factors"],
+    "char-factor": (int, 0),
+    "arc-a": (int_list(int, 2), REQUIRED),
+    "arc-b": (int_list(int, 2), REQUIRED),
+    "noise-a": (nonneg_int, 0),
+    "noise-b": (nonneg_int, 0),
+    "strata": (choice("adjacent", "trim"), "adjacent"),
+    "seed": (nonneg_int, 0),
+}
+# None keeps the value the command line gave
+PIPELINE_FIELDS = {
+    "delta": (fraction(), None),
+    "lambda": (fraction("auto"), None),
+    "gamma": (choice("exact", "fitted"), None),
+    "target-modulus": (pos_int, None),
+    "shrink": (fraction("auto"), None),
+    "seed": (nonneg_int, None),
+}
+
+
+def _entries(text: str) -> list:
+    """[key, value text, line] per ``key: value`` line; lines without a
+    colon after ``table:`` are its rows, joined by `` / ``."""
+    out = []
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        i += 1
-        if not line:
-            continue
-        if ":" not in line:
-            raise ParseError(i, f"expected 'key: value', got {raw!r}")
-        key, val = line.split(":", 1)
-        key = key.strip().lower()
-        val = val.strip()
-        if key == "table":
-            rows = []
-            while i < len(lines):
-                row = lines[i].split("#", 1)[0].strip()
-                if not row:
-                    i += 1
-                    continue
-                if ":" in row and not row.split(":")[0].strip().isdigit():
-                    break
-                rows.append(row)
-                i += 1
-            out[key] = (rows, i)
-        elif key == "factor":
-            out.setdefault(key, []).append((val, i))
-        else:
-            out[key] = (val, i)
+        if ":" in line:
+            key, val = line.split(":", 1)
+            out.append([key.strip().lower(), val.strip(), ln])
+        elif line and out and out[-1][0] == "table":
+            out[-1][1] = f"{out[-1][1]} / {line}" if out[-1][1] else line
+        elif line:
+            raise ParseError(ln, f"expected 'key: value', got {raw!r}")
     return out
 
 
-def load_group(path: str) -> GroupModel:
-    kv = _parse_kv(open(path).read())
-    if "kind" not in kv:
-        raise ParseError(1, "missing 'kind'")
-    kind, ln = kv["kind"]
-    label = kv.get("label", (None, 0))[0]
-    if kind == "factors":
-        if "factor" not in kv:
-            raise ParseError(ln, "factors group needs at least one 'factor'")
-        models = [_parse_factor(val, fln) for val, fln in kv["factor"]]
-        return GroupModel([f for m in models for f in m.factors],
-                          label or "x".join(m.label for m in models))
+def read_fields(path: str, fields: dict):
+    """``(values, lines)`` of a file read through ``fields``, key ->
+    (converter raising ValueError on bad text, default or REQUIRED or
+    MANY); ``lines[key]`` is the key's first line, 0 if absent.  Unknown,
+    duplicated, missing or unconvertible keys raise ParseError."""
+    values = {key: [] if default is MANY else default for key, (_, default) in fields.items()}
+    lines = dict.fromkeys(fields, 0)
+    for key, val, ln in _entries(Path(path).read_text()):
+        if key not in fields:
+            raise ParseError(ln, f"unknown key {key!r} (expected one of {', '.join(fields)})")
+        convert, default = fields[key]
+        if lines[key] and default is not MANY:
+            raise ParseError(ln, f"duplicate key {key!r} (first on line {lines[key]})")
+        try:
+            value = convert(val)
+        except ValueError as e:
+            raise ParseError(ln, f"{key} = {val}: {e}") from None
+        values[key] = values[key] + [value] if default is MANY else value
+        lines[key] = lines[key] or ln
+    for key, (_, default) in fields.items():
+        if default is REQUIRED and not lines[key]:
+            raise ParseError(1, f"missing '{key}'")
+    return values, lines
+
+
+def group_from_fields(f: dict, lines: dict) -> GroupModel:
+    """The group of a read group file or planting spec: the factor list of
+    its ``factor:`` lines, of its cyclic ``factors``, or one factor."""
+    kind, label = f["kind"], f.get("label")
+    for key in {"factors": ("factor",), "cyclic": ("n",), "product": ("factors",),
+                "table": ("n", "table")}[kind]:
+        if not f[key]:
+            raise ParseError(lines["kind"], f"{kind} group needs '{key}'")
     if kind == "cyclic":
-        if "n" not in kv:
-            raise ParseError(ln, "cyclic group needs 'n'")
-        return make_cyclic(int(kv["n"][0]), label)
-    if kind == "product":
-        if "factors" not in kv:
-            raise ParseError(ln, "product group needs 'factors'")
-        val, fln = kv["factors"]
-        try:
-            factors = [int(x) for x in val.replace(",", " ").split()]
-        except ValueError:
-            raise ParseError(fln, f"bad factor list {val!r}")
-        if len(factors) < 2:
-            raise ParseError(fln, "need at least two factors")
-        g = make_cyclic(factors[0])
-        for f in factors[1:-1]:
-            g = make_product(g, make_cyclic(f))
-        return make_product(g, make_cyclic(factors[-1]), label)
+        return make_cyclic(f["n"], label)
     if kind == "table":
-        if "n" not in kv or "table" not in kv:
-            raise ParseError(ln, "table group needs 'n' and 'table'")
-        n = int(kv["n"][0])
-        rows, tln = kv["table"]
-        if len(rows) != n:
-            raise ParseError(tln, f"expected {n} table rows, got {len(rows)}")
-        try:
-            mat = [[int(x) for x in r.split()] for r in rows]
-        except ValueError:
-            raise ParseError(tln, "table entries must be integers")
-        return make_from_table(np.array(mat), label)
-    raise ParseError(ln, f"unknown kind {kind!r}")
+        if len(f["table"]) != f["n"]:
+            raise ParseError(lines["table"], f"expected {f['n']} table rows, "
+                                             f"got {len(f['table'])}")
+        return make_from_table(f["table"], label)
+    models = f["factor"] if kind == "factors" else [make_cyclic(n) for n in f["factors"]]
+    return GroupModel([x for m in models for x in m.factors],
+                      label or "x".join(m.label for m in models))
 
 
-def _parse_factor(val: str, ln: int) -> GroupModel:
-    """One ``factor:`` value as a one-factor model: ``cyclic n`` or
-    ``table r0 / r1 / ...``, the table validated by make_from_table."""
-    kind, _, rest = val.partition(" ")
-    try:
-        if kind == "cyclic":
-            return make_cyclic(int(rest))
-        if kind == "table":
-            return make_from_table(np.array([[int(x) for x in row.split()]
-                                             for row in rest.split("/")]))
-    except ValueError:
-        raise ParseError(ln, f"bad {kind} factor {rest!r}")
-    raise ParseError(ln, f"unknown factor kind {kind!r}")
+def load_group(path: str) -> GroupModel:
+    return group_from_fields(*read_fields(path, GROUP_FIELDS))
 
 
 def save_group(path: str, g: GroupModel):
@@ -144,28 +216,21 @@ def save_group(path: str, g: GroupModel):
 
 
 def load_subset(path: str, g: GroupModel) -> Subset:
-    kv = _parse_kv(open(path).read())
-    if "n" not in kv:
-        raise ParseError(1, "missing 'n'")
-    n, ln = int(kv["n"][0]), kv["n"][1]
+    """A subset file as a subset of g: exactly one of ``mask`` and
+    ``indices``, each checked against the file's own ``n``, which must be
+    the order of g."""
+    f, lines = read_fields(path, SUBSET_FIELDS)
+    n, mask, idx = f["n"], f["mask"], f["indices"]
+    if (mask is None) == (idx is None):
+        raise ParseError(max(lines["mask"], lines["indices"], 1),
+                         "subset needs exactly one of 'indices' and 'mask'")
+    if mask is not None and mask >> n:      # also a negative mask
+        raise ParseError(lines["mask"], f"mask = {mask:#x} has bits beyond n = {n}")
+    if idx is not None and max(idx, default=0) >= n:
+        raise ParseError(lines["indices"], f"index {max(idx)} not in 0..{n - 1}")
     if n != g.order:
-        raise ParseError(ln, f"subset n={n} does not match group order {g.order}")
-    if "mask" in kv:
-        val, mln = kv["mask"]
-        try:
-            mask = int(val, 16)
-        except ValueError:
-            raise ParseError(mln, f"bad hex mask {val!r}")
-        return Subset(g, mask)
-    if "indices" in kv:
-        val, iln = kv["indices"]
-        val = val.strip("[]")
-        try:
-            idx = [int(x) for x in val.replace(",", " ").split()]
-        except ValueError:
-            raise ParseError(iln, f"bad index list {val!r}")
-        return Subset.from_indices(g, idx)
-    raise ParseError(1, "subset needs 'indices' or 'mask'")
+        raise ParseError(lines["n"], f"subset n={n} does not match group order {g.order}")
+    return Subset(g, mask) if mask is not None else Subset.from_indices(g, idx)
 
 
 def save_subset(path: str, s: Subset, style: str = "mask"):

@@ -36,6 +36,8 @@ TRIANGLE_EXHAUSTIVE_LIMIT = 256
 ALPHA_STATE_CAP = 2_000_000     # exhaustive alpha sweep: states before giving up
 BEAM_WIDTH = 64                 # beam alpha search: kept paths per depth
 BEAM_RESTARTS = 8               # beam alpha search: seeded restarts
+SAMPLE_SEED = 0                 # verify_pseudometric: sampled triples and invariances
+INVARIANCE_SAMPLES = 64         # verify_pseudometric: elements checked above that count
 
 
 class PseudometricTable:
@@ -148,8 +150,7 @@ class PseudometricReport:
                 and self.left_invariant_ok and self.right_invariant_ok)
 
 
-def verify_pseudometric(g: GroupModel, num: np.ndarray, sample_seed: int = 0,
-                        invariance_samples: int = 64) -> PseudometricReport:
+def verify_pseudometric(g: GroupModel, num: np.ndarray) -> PseudometricReport:
     """Axioms plus bi-invariance of an explicit N x N numerator matrix,
     with a witness on first failure.
 
@@ -159,9 +160,11 @@ def verify_pseudometric(g: GroupModel, num: np.ndarray, sample_seed: int = 0,
     left-invariant pair reduction on row ``num[identity]`` (exhaustive
     under invariance) plus sampled raw triples.  Every other scan reads
     ``num`` one row (or one 64-row block) at a time, so above that limit
-    the extra memory is O(N).  Raises PreconditionError("shape") unless
-    ``num`` is N x N.
+    the extra memory is O(N).  Raises PreconditionError("order limit")
+    above DENSE_ORDER_LIMIT before reading ``num``, and
+    PreconditionError("shape") unless ``num`` is N x N.
     """
+    require_dense_order(g.order)
     n = g.order
     if np.shape(num) != (n, n):
         raise PreconditionError("shape", f"got {np.shape(num)} for order {n}")
@@ -202,7 +205,7 @@ def verify_pseudometric(g: GroupModel, num: np.ndarray, sample_seed: int = 0,
                 if witness is None:
                     witness = ("triangle", g.identity, u, g.mul(u, int(bad[0])))
                 break
-        rng = np.random.default_rng(sample_seed)
+        rng = np.random.default_rng(SAMPLE_SEED)
         for _ in range(20000):
             i, j, k = (int(x) for x in rng.integers(0, n, 3))
             if num[i, j] + num[j, k] < num[i, k]:
@@ -211,10 +214,10 @@ def verify_pseudometric(g: GroupModel, num: np.ndarray, sample_seed: int = 0,
                     witness = ("triangle", i, j, k)
                 break
 
-    if n <= invariance_samples:
+    if n <= INVARIANCE_SAMPLES:
         hs = range(n)
     else:
-        hs = np.random.default_rng(sample_seed).choice(n, invariance_samples, replace=False)
+        hs = np.random.default_rng(SAMPLE_SEED).choice(n, INVARIANCE_SAMPLES, replace=False)
     left_ok = True
     right_ok = True
     for h in hs:

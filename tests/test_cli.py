@@ -1,10 +1,13 @@
 """Harness round-trips, subcommands, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kemplab import Subset, cli, groups, make_cyclic, make_from_table, make_product, \
     symmetric_group_table
@@ -193,15 +196,6 @@ def test_pipeline_config_file(planted_files, tmp_path, capsys):
     assert code == 0 and out["eps_a"] == "0/1"
 
 
-def test_reports_echo_thread_env(planted_files, capsys, monkeypatch):
-    monkeypatch.setenv("KEMPLAB_THREADS", "4")
-    _, prefix = planted_files
-    main(["deficit", "--group", str(prefix) + ".group",
-          "--set-a", str(prefix) + ".a", "--set-b", str(prefix) + ".b"])
-    out = json.loads(capsys.readouterr().out)
-    assert out["kemplab_threads"] == "4"
-
-
 # the S3 table of symmetric_group_table(3) and A = {0, 1, 2}; the rows are
 # d(i, j) = ||i^-1 j||, frozen before the norm-vector storage
 S3_PSEUDO_CSV = ("0/6,1/6,1/6,2/6,2/6,3/6\n1/6,0/6,2/6,3/6,1/6,2/6\n"
@@ -233,3 +227,150 @@ def test_csv_dump_refuses_an_order_above_the_limit(tmp_path):
     with pytest.raises(PreconditionError, match="order limit"):
         pseudometric_csv(table, str(tmp_path / "t.csv"))
     assert not (tmp_path / "t.csv").exists()
+
+
+# -- malformed input exits 2 and names its line --------------------------------
+
+Z12_FILES = {"group": "kind: cyclic\nn: 12\n",
+             "a": "n: 12\nindices: 0 1 2\n",
+             "b": "n: 12\nmask: 0x3\n",
+             "config": "delta: 1/10\nlambda: auto\ngamma: exact\ntarget-modulus: 12\n"
+                       "shrink: auto\nseed: 0\n",
+             "spec": PLANT_SPEC}
+DEFICIT = ["deficit", "--group", "{group}", "--set-a", "{a}", "--set-b", "{b}"]
+PIPELINE = ["pipeline", "--group", "{group}", "--set-a", "{a}", "--set-b", "{b}",
+            "--config", "{config}"]
+GEN = ["gen", "--spec", "{spec}", "--out-prefix", "{prefix}"]
+
+
+def run_cli(tmp, argv, files):
+    """main(argv) with each {name} in argv the path of files[name] written
+    under tmp (None: left as it is); returns (exit code, stderr)."""
+    paths = {"prefix": str(tmp / "p")}
+    for name, text in files.items():
+        if text is not None:
+            (tmp / name).write_text(text)
+        paths[name] = str(tmp / name)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([arg.format(**paths) for arg in argv])
+    return code, err.getvalue()
+
+
+def with_value(text, key, value):
+    """text with the value of key replaced, and that key's line number."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(key + ":"))
+    lines[i] = f"{key}: {value}"
+    return "\n".join(lines) + "\n", i + 1
+
+
+MALFORMED_VALUES = [
+    # (argv, file, key, value)
+    (DEFICIT, "group", "n", "x"),
+    (DEFICIT, "group", "n", "0"),
+    (DEFICIT, "a", "n", "x"),
+    (DEFICIT, "a", "indices", "0 99"),
+    (DEFICIT, "b", "mask", "0x1000"),
+    (PIPELINE, "config", "seed", "x"),
+    (PIPELINE, "config", "target-modulus", "x"),
+    (PIPELINE, "config", "gamma", "exakt"),
+    (GEN, "spec", "arc-a", "0"),
+    (GEN, "spec", "arc-a", "0 49"),
+    (GEN, "spec", "seed", "x"),
+    (GEN, "spec", "seed", "-1"),
+    (GEN, "spec", "noise-a", "-1"),
+    (GEN, "spec", "factors", "4 x"),
+]
+MALFORMED_FILES = [
+    # (argv, file, text, line named)
+    (DEFICIT, "group", "kind: table\nn: 3\ntable:\n0 1 2\n1 2\n2 0 1\n", 3),
+    (DEFICIT, "group", "kind: cyclic\nn: 12\nsize: 12\n", 3),
+    (DEFICIT, "a", "n: 12\nindices: 0 1\nindices: 2\n", 3),
+    (DEFICIT, "a", "n: 12\nmask: 0x3\nindices: 0 1\n", 3),
+    (GEN, "spec", PLANT_SPEC + "strata: trimm\n", 9),
+    (DEFICIT, "group", f"kind: factors\nfactor: table 0 1 / 1 {2**64}\n", 2),
+]
+
+
+@pytest.mark.parametrize("argv, name, key, value", MALFORMED_VALUES,
+                         ids=[f"{name}-{key}={value}" for _, name, key, value in MALFORMED_VALUES])
+def test_a_malformed_value_exits_2_naming_its_line(tmp_path, argv, name, key, value):
+    text, line = with_value(Z12_FILES[name], key, value)
+    code, err = run_cli(tmp_path, argv, {**Z12_FILES, name: text})
+    assert code == 2 and f"line {line}:" in err, err
+    assert not (tmp_path / "p.group").exists()
+
+
+@pytest.mark.parametrize("argv, name, text, line", MALFORMED_FILES,
+                         ids=["ragged table", "unknown key", "duplicated key",
+                              "mask and indices", "strata word", "table entry"])
+def test_a_malformed_file_exits_2_naming_its_line(tmp_path, argv, name, text, line):
+    code, err = run_cli(tmp_path, argv, {**Z12_FILES, name: text})
+    assert code == 2 and f"line {line}:" in err, err
+
+
+def test_an_unreadable_file_is_a_usage_error(tmp_path):
+    # a binary group file, then a directory in its place
+    (tmp_path / "group").write_bytes(b"\xff\xfe kind: cyclic\n")
+    assert run_cli(tmp_path, DEFICIT, {**Z12_FILES, "group": None})[0] == 2
+    (tmp_path / "group").unlink()
+    (tmp_path / "group").mkdir()
+    assert run_cli(tmp_path, DEFICIT, {**Z12_FILES, "group": None})[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    DEFICIT + ["--delta", "x"], DEFICIT + ["--delta", "1/0"],
+    ["pseudo", "--group", "{group}", "--set-a", "{a}", "--gamma", "x"],
+    ["probe", "--group", "{group}", "--k-ratio", "x"],
+    ["probe", "--group", "{group}", "--seed", "-1"],
+    PIPELINE + ["--gamma", "1/10"],
+], ids=["delta x", "delta 1/0", "gamma x", "k-ratio x", "seed -1", "pipeline gamma 1/10"])
+def test_a_malformed_flag_is_a_usage_error(tmp_path, argv):
+    code, err = run_cli(tmp_path, argv, Z12_FILES)
+    assert code == 2 and "usage: kemplab" in err and "error: argument" in err, err
+
+
+Z48X5_SETS = {"a": "n: 240\nindices: 0 5 10\n", "b": "n: 240\nmask: 0x21\n"}
+Z12_TABLE = "kind: table\nn: 12\ntable:\n" + "".join(
+    " ".join(str((i + j) % 12) for j in range(12)) + "\n" for i in range(12))
+MUTATED = {
+    # file kind: (argv, files, the file mutated)
+    "factors group": (DEFICIT, {**Z12_FILES, **Z48X5_SETS, "group": "kind: factors\n"
+                               "label: Z48xZ5\nfactor: cyclic 48\nfactor: cyclic 5\n"}, "group"),
+    "cyclic group": (DEFICIT, Z12_FILES, "group"),
+    "product group": (DEFICIT, {**Z12_FILES, **Z48X5_SETS,
+                                "group": "kind: product\nfactors: 48 5\nlabel: G\n"}, "group"),
+    "table group": (DEFICIT, {**Z12_FILES, "group": Z12_TABLE}, "group"),
+    "index subset": (DEFICIT, Z12_FILES, "a"),
+    "mask subset": (DEFICIT, Z12_FILES, "b"),
+    "pipeline config": (PIPELINE, Z12_FILES, "config"),
+    "planting spec": (GEN, Z12_FILES, "spec"),
+}
+VALUES = st.one_of(
+    st.sampled_from(["", "x", "-1", "0", "1/0", "-1/2", "0 x", "4 x", "2 3", "exakt", "auto",
+                     "exact", "fitted", "trim", "0x", "0xfff", "[1]", "cyclic", "cyclic 0",
+                     "table 0 1 / 1", "table 0", "product", "table", "factors"]),
+    st.integers(-3, 300).map(str),
+    st.text(alphabet="0123456789 x/-,", max_size=4))
+
+
+@pytest.mark.parametrize("kind", MUTATED)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_mutated_line_never_exits_3(tmp_path_factory, kind, data):
+    # one line of a valid file replaced (its key kept), dropped or doubled
+    argv, files, name = MUTATED[kind]
+    lines = files[name].splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    op = data.draw(st.sampled_from(["replace", "drop", "duplicate"]), label="op")
+    if op == "replace":
+        key = lines[i].split(":", 1)[0] + ": " if ":" in lines[i] else ""
+        lines[i] = key + data.draw(VALUES, label="value")
+    elif op == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    tmp = tmp_path_factory.mktemp("mutated")
+    code, err = run_cli(tmp, argv, {**files, name: "\n".join(lines) + "\n"})
+    assert code != 3, err

@@ -6,6 +6,8 @@ import re
 from pathlib import Path
 
 import kemplab
+from kemplab import io
+from kemplab.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +22,18 @@ def test_readme_constants_match_the_code():
     for name, base, exp in found:
         values = {getattr(m, name) for m in modules if hasattr(m, name)}
         assert values == {int(base) ** int(exp or 1)}, name
+
+
+def test_readme_planting_spec_runs_through_gen(tmp_path):
+    block = re.search(r"A planting spec looks like:\n\n```\n(.*?)```", README.read_text(),
+                      re.S).group(1)
+    (tmp_path / "plant.spec").write_text(block)
+    assert main(["gen", "--spec", str(tmp_path / "plant.spec"),
+                 "--out-prefix", str(tmp_path / "p"), "--out", str(tmp_path / "gen.json")]) == 0
+
+
+def test_readme_key_table_is_the_reader_tables():
+    rows = re.findall(r"^\| ([a-z ]+) \| `([a-z-]+)` \|", README.read_text(), re.M)
+    tables = {"group": io.GROUP_FIELDS, "subset": io.SUBSET_FIELDS,
+              "planting spec": io.PLANTING_FIELDS, "pipeline config": io.PIPELINE_FIELDS}
+    assert sorted(rows) == sorted((kind, key) for kind, t in tables.items() for key in t)

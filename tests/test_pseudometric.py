@@ -79,6 +79,13 @@ def test_verify_rejects_a_matrix_of_another_shape():
             verify_pseudometric(z, num)
 
 
+def test_verify_refuses_an_order_above_the_limit():
+    # a zero-memory 4097 x 4097 view: the order is checked before num is read
+    z = make_cyclic(groups.DENSE_ORDER_LIMIT + 1)
+    with pytest.raises(PreconditionError, match="order limit"):
+        verify_pseudometric(z, np.broadcast_to(0, (z.order, z.order)))
+
+
 def test_ball_examples():
     z, d = arc_table()
     b = ball(d, Fraction(5, 360))
