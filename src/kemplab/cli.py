@@ -128,6 +128,9 @@ def cmd_deficit(args):
 
 def cmd_transfer(args):
     g, a, b = _load_pair(args)
+    if args.subgroup_gen >= g.order:
+        raise ParseError(None, f"--subgroup-gen = {args.subgroup_gen} names no element "
+                               f"of {g.label} (0..{g.order - 1})")
     h = cyclic_subgroup(g, args.subgroup_gen)
     t0 = time.time()
     res = transfer(g, h, a, b, args.delta)
@@ -212,7 +215,7 @@ def cmd_pipeline(args):
         cfg.shrink_target = args.shrink
     delta = file_delta if args.delta is None else args.delta
     if delta is None:
-        raise ParseError(1, "pipeline needs --delta or a config file with delta")
+        raise ParseError(None, "pipeline needs --delta or a config file with delta")
     t0 = time.time()
     res = inverse_pipeline(g, a, b, delta, cfg)
     report = _base_report(args, "pipeline")
@@ -262,11 +265,11 @@ def cmd_suite(args):
 
 
 def cmd_bench(args):
-    n = args.n
+    n, size, trials = args.n, args.size, args.trials
+    if size > n:
+        raise ParseError(None, f"--size = {size} exceeds --n = {n}")
     g = make_cyclic(n)
     rng = np.random.default_rng(args.seed)
-    size = args.size
-    trials = args.trials
     naive_t = 0.0
     fast_t = 0.0
     for _ in range(trials):
@@ -320,7 +323,7 @@ def build_parser():
 
     sp = sub.add_parser("transfer", help="quotient transfer certificates")
     common(sp)
-    sp.add_argument("--subgroup-gen", type=int, required=True, dest="subgroup_gen")
+    sp.add_argument("--subgroup-gen", type=kio.nonneg_int, required=True, dest="subgroup_gen")
     sp.add_argument("--delta", type=kio.fraction(), required=True)
     sp.set_defaults(func=cmd_transfer)
 
@@ -353,21 +356,21 @@ def build_parser():
     sp = sub.add_parser("probe", help="toric nonexpander search")
     common(sp, pair=False)
     sp.add_argument("--k-ratio", type=kio.fraction(), default="2", dest="k_ratio")
-    sp.add_argument("--budget", type=int, default=100)
+    sp.add_argument("--budget", type=kio.pos_int, default=100)
     sp.set_defaults(func=cmd_probe)
 
     sp = sub.add_parser("suite", help="run a named verification suite")
     sp.add_argument("--suite", required=True, choices=sorted(suite_mod.SUITES))
     sp.add_argument("--seed", type=kio.nonneg_int, default=0)
-    sp.add_argument("--budget", type=int)
+    sp.add_argument("--budget", type=kio.pos_int)
     sp.add_argument("--out")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(func=cmd_suite)
 
     sp = sub.add_parser("bench", help="sumset kernel throughput")
-    sp.add_argument("--n", type=int, default=65536)
-    sp.add_argument("--size", type=int, default=2048)
-    sp.add_argument("--trials", type=int, default=3)
+    sp.add_argument("--n", type=kio.pos_int, default=65536)
+    sp.add_argument("--size", type=kio.pos_int, default=2048)
+    sp.add_argument("--trials", type=kio.pos_int, default=3)
     sp.add_argument("--seed", type=kio.nonneg_int, default=0)
     sp.add_argument("--out")
     sp.add_argument("--format", choices=["json", "csv"], default="json")

@@ -67,8 +67,9 @@ class StageError(KemplabError):
 
 
 class ParseError(KemplabError):
-    """A harness file failed to parse; carries the 1-based line number."""
+    """A harness file or flag failed to parse; carries the 1-based line
+    number, None for a flag."""
 
     def __init__(self, lineno, detail):
         self.lineno = lineno
-        super().__init__(f"line {lineno}: {detail}")
+        super().__init__(detail if lineno is None else f"line {lineno}: {detail}")

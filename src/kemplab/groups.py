@@ -613,17 +613,18 @@ class Arc:
 
 
 def _derived_subgroup(g_model: GroupModel) -> Subgroup:
-    """Commutator subgroup via closure of all commutators."""
+    """Commutator subgroup via closure of all commutators a^-1 b^-1 a b,
+    taken for rows of a in blocks of at most PAIR_BLOCK pairs."""
     if g_model.abelian:
         return Subgroup(g_model, (g_model.identity,))
-    n = g_model.order
-    comms = set()
-    for a in range(n):
-        ia = g_model.inv(a)
-        for b in range(n):
-            c = g_model.mul(g_model.mul(ia, g_model.inv(b)), g_model.mul(a, b))
-            comms.add(c)
-    return generated_subgroup(g_model, comms)
+    idx = g_model.elements()
+    inv = g_model.inv_vec(idx)
+    comms = np.zeros(g_model.order, dtype=bool)
+    rows = max(1, PAIR_BLOCK // g_model.order)
+    for i in range(0, g_model.order, rows):
+        a = idx[i:i + rows, None]
+        comms[g_model.mul_arr(g_model.mul_arr(inv[a], inv), g_model.mul_arr(a, idx))] = True
+    return generated_subgroup(g_model, np.flatnonzero(comms))
 
 
 def abelianization(g_model: GroupModel):
@@ -635,44 +636,32 @@ def abelianization(g_model: GroupModel):
 
 
 def _abelian_generator_chain(q: GroupModel):
-    """Generating chain for an abelian model.
+    """Generating chain and coordinate matrix for an abelian model.
 
-    Returns a list of (generator, relative_order, power_element) and a
-    decomposition table: decomp[e] = (level, base_element, exponent)
-    meaning e = base * gen_level^exponent with base from the previous
-    level.  Drives exact homomorphism enumeration.
+    The chain lists (x, r, x^r): x is the least element outside the
+    subgroup H of the earlier levels and r the least r >= 1 with x^r in
+    H.  ``coords`` is the N x L int64 matrix of exponent vectors, e =
+    prod x_i^coords[e, i] with 0 <= coords[e, i] < r_i: each h x^k (h in
+    H, k < r) takes h's row and k in the new level's column.
     """
     n = q.order
-    level_of = {q.identity: 0}
-    decomp = {q.identity: (0, q.identity, 0)}
+    inside = np.zeros(n, dtype=bool)
+    inside[q.identity] = True
+    members = np.array([q.identity], dtype=np.int64)
+    coords = np.zeros((n, n.bit_length()), dtype=np.int64)  # every level at least doubles H
     chain = []
-    current = [q.identity]
-    level = 0
-    for x in range(n):
-        if x in level_of:
-            continue
-        level += 1
-        # relative order: least r >= 1 with x^r in the current subgroup
-        r = 1
-        p = x
-        while p not in level_of:
-            p = q.mul(p, x)
-            r += 1
-        chain.append((x, r, p))
-        new = list(current)
-        powx = q.identity
-        for k in range(1, r):
-            powx = q.mul(powx, x)
-            for h in current:
-                e = q.mul(h, powx)
-                decomp[e] = (level, h, k)
-                new.append(e)
-        for e in new:
-            level_of.setdefault(e, level)
-        current = new
-        if len(current) == n:
-            break
-    return chain, decomp
+    while members.size < n:
+        x = int(np.argmin(inside))
+        pw = powers(q, x)
+        # x^len(pw) is the identity, which is always inside
+        r = 1 + int(np.argmax(inside[np.append(pw[1:], q.identity)]))
+        chain.append((x, r, int(pw[r % len(pw)])))
+        new = q.mul_arr(members[:, None], pw[None, :r])
+        coords[new] = coords[members][:, None, :]
+        coords[new, len(chain) - 1] = np.arange(r)
+        members = new.ravel()
+        inside[members] = True
+    return chain, coords[:, :len(chain)]
 
 
 def _solve_linear_mod(r: int, v: int, m: int):
@@ -685,60 +674,50 @@ def _solve_linear_mod(r: int, v: int, m: int):
     return [(c0 + j * mg) % m for j in range(g)]
 
 
+def _character_images(g_model: GroupModel, m: int):
+    """The images and surjectivity flags of every homomorphism G -> Z_m.
+
+    A character of the abelianization Q is an assignment vector c over
+    its chain, grown level by level: c_i must satisfy r_i c_i =
+    chi(power_element_i) (mod m).  Its image on Q is ``coords @ c mod
+    m``, gathered through the projection.  Returns the K x N image
+    matrix, rows sorted by image tuple, and a length-K bool array.
+    """
+    if m < 1:
+        raise PreconditionError("m >= 1", f"got {m}")
+    q, proj = abelianization(g_model)
+    chain, coords = _abelian_generator_chain(q)
+    assign = np.zeros((1, 0), dtype=np.int64)
+    for level, (_x, r, p) in enumerate(chain):
+        values = assign @ coords[p, :level] % m
+        sols = [_solve_linear_mod(r, int(v), m) for v in values]
+        assign = np.column_stack([np.repeat(assign, [len(s) for s in sols], axis=0),
+                                  np.array([c for s in sols for c in s], dtype=np.int64)])
+    if len(assign) * g_model.order > DENSE_ORDER_LIMIT ** 2:
+        raise PreconditionError("order limit", f"{len(assign)} characters of order "
+                                f"{g_model.order} exceed DENSE_ORDER_LIMIT^2 image entries")
+    columns = (coords @ assign.T)[proj]                 # N x K, one column per character
+    columns %= m
+    images = columns.T[np.lexsort(columns[::-1])]
+    return images, np.gcd(np.gcd.reduce(images, axis=1), m) == 1
+
+
 def enumerate_characters(g_model: GroupModel, m: Optional[int] = None):
     """All homomorphisms G -> Z_m, sorted by image tuple.
 
     They factor through the abelianization, which is where the
     enumeration happens; m defaults to the exponent of G/[G,G].
+    Raises PreconditionError("order limit") before building the images
+    when their K x N entries exceed DENSE_ORDER_LIMIT^2.
     """
-    q, proj = abelianization(g_model)
     if m is None:
-        m = _exponent(q)
-    if m < 1:
-        raise PreconditionError("m >= 1", f"got {m}")
-
-    chain, decomp = _abelian_generator_chain(q)
-
-    assignments = [()]
-    for (x, r, p) in chain:
-        new_assignments = []
-        for assign in assignments:
-            v = _chi_value(q, decomp, assign, p, m)
-            for c in _solve_linear_mod(r, v, m):
-                new_assignments.append(assign + (c,))
-        assignments = new_assignments
-
-    chars = []
-    for assign in assignments:
-        img_q = np.zeros(q.order, dtype=np.int64)
-        for e in range(q.order):
-            img_q[e] = _chi_value(q, decomp, assign, e, m)
-        image = img_q[proj]
-        d = 0
-        for val in image:
-            d = math.gcd(d, int(val))
-        surjective = math.gcd(d, m) == 1
-        chars.append(Character(g_model, m, image, surjective))
-    chars.sort(key=lambda c: tuple(c.image.tolist()))
-    return chars
-
-
-def _chi_value(q, decomp, assign, e, m):
-    """Value of the partial character at element e of the abelian model."""
-    total = 0
-    while True:
-        level, base, k = decomp[e]
-        if level == 0:
-            return total % m
-        total += k * assign[level - 1]
-        e = base
-
-
-def _exponent(g_model: GroupModel) -> int:
-    """lcm of the element orders."""
-    return math.lcm(*(g_model.element_order(x) for x in range(g_model.order)))
+        m = default_character_modulus(g_model)
+    images, surjective = _character_images(g_model, m)
+    return [Character(g_model, m, img, bool(s)) for img, s in zip(images, surjective)]
 
 
 def default_character_modulus(g_model: GroupModel) -> int:
-    """Exponent of the abelianization (see enumerate_characters)."""
-    return _exponent(abelianization(g_model)[0])
+    """Exponent of the abelianization (see enumerate_characters): the lcm
+    of the orders of its chain generators, which generate it."""
+    q, _ = abelianization(g_model)
+    return math.lcm(*(len(powers(q, x)) for x, _r, _p in _abelian_generator_chain(q)[0]))

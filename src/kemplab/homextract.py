@@ -21,9 +21,9 @@ from .errors import NoCharacterWithinBound, PreconditionError, StageError
 from .expansion import deficit
 from .fibers import (best_arc_fit, bohr_stability, round_half_up,
                      structural_control)
-from .groups import (Arc, Character, GroupModel, Subgroup, cayley_bfs,
-                     coset_partition, default_character_modulus,
-                     enumerate_characters, powers)
+from .groups import (PAIR_BLOCK, Arc, Character, GroupModel, Subgroup,
+                     _character_images, cayley_bfs, coset_partition,
+                     default_character_modulus, powers)
 from .pseudometric import (AlphaResult, PseudometricTable, SignContext,
                            _check_lambda_range, _word_weights, alpha_lambda,
                            gamma_linearity, path_monotone_check,
@@ -140,6 +140,23 @@ def _additive_defect(g_model: GroupModel, values: np.ndarray, alpha_num: int, de
     return Fraction(worst, den), exhaustive
 
 
+def _nearest_character(images: np.ndarray, values_num: np.ndarray, alpha_num: int, m: int):
+    """The first row of ``images`` (mod m) at the least sup circle distance
+    from ``values_num`` (mod alpha_num), and that distance.  Distances are
+    numerators over alpha_num m, scored in blocks of at most PAIR_BLOCK
+    cells (one row if a row is longer); with rows sorted by image tuple,
+    the first least distance is the least (distance, image tuple)."""
+    big_m = alpha_num * m
+    rows = max(1, PAIR_BLOCK // images.shape[1])
+    blocks = []
+    for i in range(0, len(images), rows):
+        r = (values_num * m - images[i:i + rows] * alpha_num) % big_m
+        blocks.append(np.minimum(r, big_m - r).max(axis=1))
+    dist_num = np.concatenate(blocks)
+    best = int(np.argmin(dist_num))
+    return best, Fraction(int(dist_num[best]), big_m)
+
+
 def snap_to_character(g_model: GroupModel, hom: AlmostHom,
                       m: Optional[int] = None):
     """Nearest exact character to the almost homomorphism.
@@ -157,16 +174,9 @@ def snap_to_character(g_model: GroupModel, hom: AlmostHom,
     if q_ratio > Fraction(1, 12):
         raise PreconditionError("q bound",
                                 f"q/alpha = {q_ratio} exceeds 1/12; snapping unsound")
-    chars = enumerate_characters(g_model, m)
-    big_m = alpha_num * m
-    best = None
-    for chi in chars:
-        r = (hom.values_num * m - chi.image * alpha_num) % big_m
-        dist_num = int(np.minimum(r, big_m - r).max())
-        key = (Fraction(dist_num, big_m), tuple(chi.image.tolist()))
-        if best is None or key < best[0]:
-            best = (key, chi)
-    (dist, _img), chi = best
+    images, surjective = _character_images(g_model, m)
+    best, dist = _nearest_character(images, hom.values_num, alpha_num, m)
+    chi = Character(g_model, m, images[best], bool(surjective[best]))
     bound = Fraction(136, 100) * q_ratio
     if dist > bound:
         raise NoCharacterWithinBound(

@@ -1,5 +1,6 @@
 """Harness round-trips, subcommands, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kemplab import Subset, cli, groups, make_cyclic, make_from_table, make_product, \
+from kemplab import Subset, cli, groups, io as kio, make_cyclic, make_from_table, make_product, \
     symmetric_group_table
-from kemplab.cli import main
+from kemplab.cli import build_parser, main
 from kemplab.errors import PreconditionError
 from kemplab.io import load_group, load_subset, pseudometric_csv, save_group, save_subset
 from kemplab.pseudometric import PseudometricTable
@@ -241,6 +242,8 @@ DEFICIT = ["deficit", "--group", "{group}", "--set-a", "{a}", "--set-b", "{b}"]
 PIPELINE = ["pipeline", "--group", "{group}", "--set-a", "{a}", "--set-b", "{b}",
             "--config", "{config}"]
 GEN = ["gen", "--spec", "{spec}", "--out-prefix", "{prefix}"]
+TRANSFER = ["transfer", "--group", "{group}", "--set-a", "{a}", "--set-b", "{b}",
+            "--delta", "1/10"]
 
 
 def run_cli(tmp, argv, files):
@@ -325,10 +328,42 @@ def test_an_unreadable_file_is_a_usage_error(tmp_path):
     ["probe", "--group", "{group}", "--k-ratio", "x"],
     ["probe", "--group", "{group}", "--seed", "-1"],
     PIPELINE + ["--gamma", "1/10"],
-], ids=["delta x", "delta 1/0", "gamma x", "k-ratio x", "seed -1", "pipeline gamma 1/10"])
+    ["probe", "--group", "{group}", "--budget", "-1"],
+    ["probe", "--group", "{group}", "--budget", "0"],
+    ["suite", "--suite", "kneser", "--budget", "-3"],
+    ["suite", "--suite", "kneser", "--budget", "0"],
+    ["bench", "--n", "0"], ["bench", "--size", "-1"], ["bench", "--trials", "-1"],
+    TRANSFER + ["--subgroup-gen", "-1"],
+], ids=["delta x", "delta 1/0", "gamma x", "k-ratio x", "seed -1", "pipeline gamma 1/10",
+        "probe budget -1", "probe budget 0", "suite budget -3", "suite budget 0",
+        "bench n 0", "bench size -1", "bench trials -1", "subgroup-gen -1"])
 def test_a_malformed_flag_is_a_usage_error(tmp_path, argv):
     code, err = run_cli(tmp_path, argv, Z12_FILES)
     assert code == 2 and "usage: kemplab" in err and "error: argument" in err, err
+
+
+@pytest.mark.parametrize("argv, message, bad, largest", [
+    (["bench", "--n", "16", "--trials", "1", "--size"], "--size = 17 exceeds --n = 16",
+     "17", "16"),
+    (TRANSFER + ["--subgroup-gen"], "--subgroup-gen = 12 names no element of Z12 (0..11)",
+     "12", "11"),
+], ids=["size above n", "subgroup-gen past Z12"])
+def test_a_flag_out_of_range_for_another_is_a_usage_error(tmp_path, argv, message, bad, largest):
+    code, err = run_cli(tmp_path, argv + [bad], Z12_FILES)
+    assert code == 2 and err == f"parse error: {message}\n", err
+    assert run_cli(tmp_path, argv + [largest], Z12_FILES)[0] in (0, 1)
+
+
+def test_every_integer_flag_is_typed_by_an_io_converter():
+    # a bare type=int accepts -1 and 0 wherever a count or an index is meant
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [(name, action.dest, action.type) for name, sub in commands.choices.items()
+             for action in sub._actions]
+    assert [f for f in flags if f[2] is int] == []
+    assert {f[:2] for f in flags if f[2] in (kio.pos_int, kio.nonneg_int)} >= {
+        ("bench", "n"), ("bench", "size"), ("bench", "trials"), ("probe", "budget"),
+        ("suite", "budget"), ("transfer", "subgroup_gen")}
 
 
 Z48X5_SETS = {"a": "n: 240\nindices: 0 5 10\n", "b": "n: 240\nmask: 0x21\n"}

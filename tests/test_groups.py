@@ -1,5 +1,8 @@
 """Group model construction, subgroups, quotients, and characters."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -506,3 +509,129 @@ def test_make_from_table_rejects_an_empty_table():
         with pytest.raises(PreconditionError) as exc:
             make_from_table(table)
         assert exc.value.name == "table shape"
+
+
+# -- characters against the scalar enumeration --------------------------------
+
+def scalar_chain(q):
+    """The generator chain by per-element products, with the decomposition
+    dict decomp[e] = (level, base, k), e = base * gen_level^k."""
+    level_of = {q.identity: 0}
+    decomp = {q.identity: (0, q.identity, 0)}
+    chain, current = [], [q.identity]
+    for x in range(q.order):
+        if x in level_of:
+            continue
+        r, p = 1, x
+        while p not in level_of:
+            p = q.mul(p, x)
+            r += 1
+        chain.append((x, r, p))
+        new, powx = list(current), q.identity
+        for k in range(1, r):
+            powx = q.mul(powx, x)
+            for h in current:
+                e = q.mul(h, powx)
+                decomp[e] = (len(chain), h, k)
+                new.append(e)
+        for e in new:
+            level_of.setdefault(e, len(chain))
+        current = new
+    return chain, decomp
+
+
+def scalar_derived(g):
+    """Closure of every commutator a^-1 b^-1 a b, one product at a time."""
+    comms = {g.mul(g.mul(g.inv(a), g.inv(b)), g.mul(a, b))
+             for a in range(g.order) for b in range(g.order)}
+    return generated_subgroup(g, sorted(comms)).members
+
+
+def scalar_chi(decomp, assign, e, m):
+    total = 0
+    while decomp[e][0]:
+        level, e, k = decomp[e]
+        total += k * assign[level - 1]
+    return total % m
+
+
+def scalar_characters(g, m=None):
+    """(m, [(image tuple, surjective)]) sorted by image tuple, one
+    character value at a time."""
+    q, proj = abelianization(g)
+    if m is None:
+        m = math.lcm(*(q.element_order(x) for x in range(q.order)))
+    chain, decomp = scalar_chain(q)
+    assignments = [()]
+    for x, r, p in chain:
+        assignments = [a + (c,) for a in assignments
+                       for c in range(m) if (r * c - scalar_chi(decomp, a, p, m)) % m == 0]
+    out = []
+    for a in assignments:
+        image = tuple(scalar_chi(decomp, a, int(proj[e]), m) for e in range(g.order))
+        out.append((image, math.gcd(math.gcd(*image), m) == 1))
+    return m, sorted(out)
+
+
+def quotient_z12_z6():
+    g = make_product(make_cyclic(12), make_cyclic(6))
+    return quotient(g, cyclic_subgroup(g, 3))[0]
+
+
+def relabeled_z8():
+    # label i is the element perm[i] of Z8: label 1 has order 2 and is the
+    # square of label 2, so the chain's relative orders (2, 2, 2) are not
+    # its generators' orders (2, 4, 8)
+    perm = np.array([0, 4, 2, 1, 3, 5, 6, 7])
+    label = np.argsort(perm)
+    return make_from_table(label[np.add.outer(perm, perm) % 8], "Z8'")
+
+
+CHARACTER_MODELS = {
+    "Z1": lambda: make_cyclic(1), "Z12": lambda: make_cyclic(12),
+    "Z6xZ10": lambda: make_product(make_cyclic(6), make_cyclic(10)),
+    "Z2xZ2xZ4": lambda: make_product(make_product(make_cyclic(2), make_cyclic(2)),
+                                     make_cyclic(4)),
+    "Z48xZ5": lambda: make_product(make_cyclic(48), make_cyclic(5)),
+    "S3": s3, "S3xZ20": lambda: make_product(s3(), make_cyclic(20)),
+    "S4": lambda: make_from_table(symmetric_group_table(4)[0], "S4"),
+    "(Z12xZ6)/<3>": quotient_z12_z6, "Z8'": relabeled_z8,
+    "Z8'xZ6": lambda: make_product(relabeled_z8(), make_cyclic(6)),
+}
+
+
+@pytest.mark.parametrize("name", CHARACTER_MODELS)
+def test_characters_match_the_scalar_enumeration(name):
+    g = CHARACTER_MODELS[name]()
+    assert groups._derived_subgroup(g).members == scalar_derived(g)
+    exponent = scalar_characters(g)[0]
+    assert default_character_modulus(g) == exponent
+    q = abelianization(g)[0]
+    chain, coords = groups._abelian_generator_chain(q)
+    assert chain == scalar_chain(q)[0]
+    for e in range(q.order):      # e = prod gen_i^coords[e, i]
+        x = q.identity
+        for (gen, _, _), k in zip(chain, coords[e]):
+            x = q.mul(x, int(groups.powers(q, gen)[k]))
+        assert x == e
+    divisor = max(d for d in range(1, exponent) if exponent % d == 0) if exponent > 1 else 1
+    non_divisor = next(d for d in range(2, 2 * exponent + 3) if exponent % d)
+    for m in (None, 1, divisor, non_divisor, 2 * exponent):
+        chars = enumerate_characters(g, m)
+        m_used, expect = scalar_characters(g, m)
+        assert [c.modulus for c in chars] == [m_used] * len(expect)
+        assert [(tuple(c.image.tolist()), c.surjective) for c in chars] == expect, m
+
+
+def test_characters_refuse_an_image_matrix_above_the_limit():
+    # 8192 characters of Z8192 are 2^26 image entries: refused before
+    # the images (512 MiB) are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError) as exc:
+            enumerate_characters(make_cyclic(8192), 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.name == "order limit"
+    assert peak < 8 * 2 ** 20

@@ -18,7 +18,9 @@ from kemplab import (AlmostHom, AlphaResult, Arc, FiberRigidityReport,
 from kemplab.errors import (NoCharacterWithinBound, PreconditionError,
                             StageError)
 from kemplab.groups import Character, cayley_bfs, cayley_word
-from kemplab.homextract import _auto_lambda
+from kemplab import homextract
+from kemplab.groups import _character_images
+from kemplab.homextract import _auto_lambda, _nearest_character
 from kemplab.pseudometric import _loop_bounds, signed_weight
 
 
@@ -105,6 +107,70 @@ def test_snap_rejects_trivial_modulus():
     hom = almost_hom(d, Fraction(5, 360), 0, alpha_mode="beam")
     with pytest.raises(NoCharacterWithinBound):
         snap_to_character(z, hom, 1)
+
+
+def scalar_snap(g, hom, m):
+    """The snap one character at a time: the least (distance, image tuple)
+    as (image tuple, distance), or the NoCharacterWithinBound message."""
+    alpha_num = int(hom.alpha * hom.den)
+    big_m = alpha_num * m
+    best = None
+    for chi in enumerate_characters(g, m):
+        r = (hom.values_num * m - chi.image * alpha_num) % big_m
+        key = (Fraction(int(np.minimum(r, big_m - r).max()), big_m), tuple(chi.image.tolist()))
+        best = min(best or key, key)
+    dist, image = best
+    bound = Fraction(136, 100) * hom.q / hom.alpha
+    if dist > bound:
+        return f"best distance {dist} > 1.36 q/alpha = {bound}; q too large or m wrong"
+    if not any(image):
+        return "only the trivial character fits; the value spread forbids it"
+    return image, dist
+
+
+def snapped(g, hom, m):
+    try:
+        chi, dist = snap_to_character(g, hom, m)
+    except NoCharacterWithinBound as exc:
+        return str(exc)
+    return tuple(chi.image.tolist()), dist
+
+
+def test_snap_matches_the_scalar_loop():
+    # values on a random character (trial % 3 == 1) or within 1/96 of it
+    # (== 2; chars[0] is the trivial one), and uniform ones (== 0);
+    # q/alpha = 1/12, the largest the snap accepts
+    g = make_product(make_cyclic(48), make_cyclic(5))
+    chars = enumerate_characters(g, 48)
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for trial in range(60):
+        if trial % 3:
+            chi = chars[0 if trial % 9 == 1 else int(rng.integers(len(chars)))]
+            values = (2 * chi.image + rng.integers(-1, 2, g.order) * (trial % 3 - 1)) % 96
+        else:
+            values = rng.integers(0, 96, g.order)
+        values[g.identity] = 0
+        hom = AlmostHom(g, Fraction(96), values, 1, Fraction(8), True, 1)
+        expect = scalar_snap(g, hom, 48)
+        assert snapped(g, hom, 48) == expect
+        outcomes.add(expect[:4] if isinstance(expect, str) else "ok")
+    assert outcomes == {"ok", "best", "only"}
+
+
+@pytest.mark.parametrize("block", [2 ** 14, 4, 8])
+def test_nearest_character_takes_the_least_image_among_equal_distances(monkeypatch, block):
+    # Z2 x Z2 into Z2, values 0, 1/4, 1/4, 1/2: the characters with images
+    # (0, 0, 1, 1) and (0, 1, 0, 1) both lie at distance 1/4; the first
+    # wins, in one block, in blocks of one row and in blocks of two
+    monkeypatch.setattr(homextract, "PAIR_BLOCK", block)
+    g = make_product(make_cyclic(2), make_cyclic(2))
+    images, _ = _character_images(g, 2)
+    assert images.tolist() == [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
+    assert _nearest_character(images, np.array([0, 1, 1, 2]), 4, 2) == (1, Fraction(1, 4))
+    assert _nearest_character(images, np.array([0, 3, 1, 2]), 4, 2) == (1, Fraction(1, 4))
+    hom = AlmostHom(g, Fraction(4), np.array([0, 1, 1, 2]), 1, Fraction(1, 3), True, 1)
+    assert snapped(g, hom, 2) == scalar_snap(g, hom, 2)
 
 
 def test_kernel_norm_check_planted():
