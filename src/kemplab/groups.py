@@ -696,9 +696,13 @@ def _character_images(g_model: GroupModel, m: int):
     if len(assign) * g_model.order > DENSE_ORDER_LIMIT ** 2:
         raise PreconditionError("order limit", f"{len(assign)} characters of order "
                                 f"{g_model.order} exceed DENSE_ORDER_LIMIT^2 image entries")
-    columns = (coords @ assign.T)[proj]                 # N x K, one column per character
-    columns %= m
-    images = columns.T[np.lexsort(columns[::-1])]
+    # Each level appends its solutions in ascending order, so the rows of
+    # ``assign`` are in lexicographic order, and that is the image-tuple
+    # order: every element of G below the least preimage of x_i lies over
+    # an element of Q below x_i, so in the span of x_1 .. x_(i-1), and the
+    # character's value at that preimage is c_i.
+    images = (assign @ coords.T)[:, proj]
+    images %= m
     return images, np.gcd(np.gcd.reduce(images, axis=1), m) == 1
 
 

@@ -19,11 +19,12 @@ import numpy as np
 
 from .errors import NoCharacterWithinBound, PreconditionError, StageError
 from .expansion import deficit
-from .fibers import (best_arc_fit, bohr_stability, round_half_up,
+from .fibers import (best_arc_fit, bohr_stability, fiber_profile, round_half_up,
                      structural_control)
 from .groups import (PAIR_BLOCK, Arc, Character, GroupModel, Subgroup,
                      _character_images, cayley_bfs, coset_partition,
-                     default_character_modulus, powers)
+                     default_character_modulus, make_cyclic, powers)
+from .inverse1d import TorusStructure, torus_inverse
 from .pseudometric import (AlphaResult, PseudometricTable, SignContext,
                            _check_lambda_range, _word_weights, alpha_lambda,
                            gamma_linearity, path_monotone_check,
@@ -77,17 +78,17 @@ class AlmostHom:
         return self.spread_witness() is not None
 
     def spread_witness(self):
-        """A pair of elements whose values sit > alpha/3 apart, if any."""
+        """A pair of elements whose values sit > alpha/3 apart, if any: the
+        first elements of the least value v_i having some v_j with alpha <
+        3(v_j - v_i) < 2 alpha, and of the least such v_j."""
         alpha_num = int(self.alpha * self.den)
-        vals = np.unique(self.values_num)
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                r = int((vals[j] - vals[i]) % alpha_num)
-                if min(r, alpha_num - r) * 3 > alpha_num:
-                    gi = int(np.flatnonzero(self.values_num == vals[i])[0])
-                    gj = int(np.flatnonzero(self.values_num == vals[j])[0])
-                    return gi, gj
-        return None
+        vals, first = np.unique(self.values_num, return_index=True)
+        lo = np.searchsorted(3 * vals, 3 * vals + alpha_num, side="right")
+        hi = np.searchsorted(3 * vals, 3 * vals + 2 * alpha_num, side="left")
+        i = np.flatnonzero(lo < hi)
+        if i.size == 0:
+            return None
+        return int(first[i[0]]), int(first[lo[i[0]]])
 
 
 def almost_hom(d: PseudometricTable, lam, gamma,
@@ -204,7 +205,6 @@ def kernel_norm_check(d: PseudometricTable, chi: Character, lam):
 
 @dataclass
 class PipelineConfig:
-    delta: Fraction = Fraction(1, 100)       # relative near-minimality cap
     shrink_target: Optional[Fraction] = None  # None = auto
     lam: Optional[Fraction] = None            # None = auto (rho/32 policy)
     gamma_policy: str = "exact"               # exact | fitted
@@ -213,7 +213,6 @@ class PipelineConfig:
     seed: int = 0
 
     def normalized(self):
-        self.delta = Fraction(self.delta)
         if self.shrink_target is not None:
             self.shrink_target = Fraction(self.shrink_target)
         if self.lam is not None:
@@ -520,10 +519,19 @@ class FiberRigidityReport:
     escaped_fiber_pairs: int = 0
 
 
-def _fiber_coords(g_model: GroupModel, h: Subgroup):
-    if h.generator is None:
-        raise PreconditionError("cyclic subgroup", "fiber fits need a generator")
-    return {x: k for k, x in enumerate(powers(g_model, h.generator).tolist())}
+def _fibers(g_model: GroupModel, h: Subgroup, s: Subset, side: str,
+            zh: GroupModel, log: np.ndarray) -> dict:
+    """S's fibers along H as subsets of zh = Z_|H|, where log[h^k] = k: x =
+    rep h^k (left cosets) or h^k rep (right) lands at k.  Keyed by coset id,
+    in order of each coset's first member of S."""
+    cid, reps = coset_partition(g_model, h, side)
+    idx = s.indices()
+    inv_rep = g_model.inv_vec(reps[cid[idx]])
+    rel = g_model.mul_arr(inv_rep, idx) if side == "left" else g_model.mul_arr(idx, inv_rep)
+    rows = np.zeros((len(reps), h.order), dtype=bool)
+    rows[cid[idx], log[rel]] = True
+    ids, first = np.unique(cid[idx], return_index=True)
+    return {int(c): Subset.from_members(zh, rows[c]) for c in ids[np.argsort(first)]}
 
 
 def _concentration(counts: np.ndarray, hsize: int, keep_mass: Fraction):
@@ -547,7 +555,6 @@ def fiberwise_rigidity_report(g_model: GroupModel, h: Subgroup, a: Subset,
     arc-fit gaps, and the additivity defect of the lifted fiber offsets
     (the fiberwise linearity identity) over sampled translate triples.
     """
-    from .fibers import fiber_profile
     delta = Fraction(delta)
     c = Fraction(c)
     prof_a = fiber_profile(g_model, h, a, "left")
@@ -570,52 +577,29 @@ def fiberwise_rigidity_report(g_model: GroupModel, h: Subgroup, a: Subset,
 
     # per-fiber arc fits in H coordinates (arc length = fiber size, so the
     # gap counts the elements a minimal arc cannot absorb)
-    coord = _fiber_coords(g_model, h)
-
-    def fiber_coords_by_coset(s: Subset, side: str):
-        cid, reps = coset_partition(g_model, h, side)
-        out = {}
-        for x in s.indices():
-            x = int(x)
-            rep = int(reps[int(cid[x])])
-            if side == "left":
-                k = coord[g_model.mul(g_model.inv(rep), x)]
-            else:
-                k = coord[g_model.mul(x, g_model.inv(rep))]
-            out.setdefault(int(cid[x]), []).append(k)
-        return out
-
-    def best_window(coords):
-        ln = len(coords)
-        present = np.zeros(hsize, dtype=bool)
-        present[coords] = True
-        csum = np.concatenate([[0], np.cumsum(np.concatenate([present, present]))])
-        best = None
-        for s in range(hsize):
-            inside = int(csum[s + ln] - csum[s])
-            gap = (ln - inside) * 2
-            if best is None or gap < best[0]:
-                best = (gap, s)
-        return best
-
-    worst_gap = Fraction(0)
-    per_coset_a = fiber_coords_by_coset(a, "left")
-    per_coset_b = fiber_coords_by_coset(b, "right")
+    if h.generator is None:
+        raise PreconditionError("cyclic subgroup", "fiber fits need a generator")
+    zh = make_cyclic(hsize)
+    identity = Character(zh, hsize, zh.elements(), True)
+    log = np.zeros(g_model.order, dtype=np.int64)
+    log[powers(g_model, h.generator)] = np.arange(hsize)
+    fibers_a = _fibers(g_model, h, a, "left", zh, log)
+    fibers_b = _fibers(g_model, h, b, "right", zh, log)
     offsets = {}
-    for cnum, coords in per_coset_a.items():
-        gap, start = best_window(sorted(coords))
-        offsets[cnum] = start
-        worst_gap = max(worst_gap, Fraction(gap, hsize))
-    for coords in per_coset_b.values():
-        gap, _start = best_window(sorted(coords))
-        worst_gap = max(worst_gap, Fraction(gap, hsize))
+    worst = 0
+    for cnum, f in fibers_a.items():
+        arc, gap = best_arc_fit(zh, identity, f, f.size)
+        offsets[cnum] = arc.start
+        worst = max(worst, gap)
+    for f in fibers_b.values():
+        worst = max(worst, best_arc_fit(zh, identity, f, f.size)[1])
 
     # fiberwise linearity: lifted offset differences must telescope
     # exactly around any intermediate coset (mod the fiber circle)
     rng = np.random.default_rng(SAMPLE_SEED)
     defect = 0
     sampled = 0
-    coset_list = list(per_coset_a)
+    coset_list = list(fibers_a)
     if coset_list:
         for _ in range(200):
             c1, c2, c3 = (coset_list[int(i)] for i in
@@ -629,27 +613,15 @@ def fiberwise_rigidity_report(g_model: GroupModel, h: Subgroup, a: Subset,
 
     # the 1-D oracle on sampled fiber pairs: each pair either escapes or
     # is a dilated-arc pair on the fiber circle
-    from .inverse1d import TorusStructure, torus_inverse
-    zh = None
     structured = 0
-    escaped = 0
-    if per_coset_a and per_coset_b:
-        from .groups import make_cyclic
-        zh = make_cyclic(hsize)
-        keys_a = sorted(per_coset_a)
-        keys_b = sorted(per_coset_b)
-        for i in range(min(20, len(keys_a) * len(keys_b))):
-            ca = keys_a[int(rng.integers(0, len(keys_a)))]
-            cb = keys_b[int(rng.integers(0, len(keys_b)))]
-            fa = Subset.from_indices(zh, per_coset_a[ca])
-            fb = Subset.from_indices(zh, per_coset_b[cb])
-            big, small = (fa, fb) if fa.size >= fb.size else (fb, fa)
-            res = torus_inverse(zh, big, small, tau=Fraction(10 ** 9),
-                                c=Fraction(1))
-            if isinstance(res, TorusStructure):
-                structured += 1
-            else:
-                escaped += 1
+    pairs = min(20, len(fibers_a) * len(fibers_b))
+    keys_a, keys_b = sorted(fibers_a), sorted(fibers_b)
+    for _ in range(pairs):
+        fa = fibers_a[keys_a[int(rng.integers(0, len(keys_a)))]]
+        fb = fibers_b[keys_b[int(rng.integers(0, len(keys_b)))]]
+        big, small = (fa, fb) if fa.size >= fb.size else (fb, fa)
+        res = torus_inverse(zh, big, small, tau=Fraction(10 ** 9), c=Fraction(1))
+        structured += isinstance(res, TorusStructure)
 
-    return FiberRigidityReport(ratio, ratio_ok, conc_a, conc_b, worst_gap,
-                               defect, sampled, structured, escaped)
+    return FiberRigidityReport(ratio, ratio_ok, conc_a, conc_b, Fraction(worst, hsize),
+                               defect, sampled, structured, pairs - structured)

@@ -18,15 +18,14 @@ from .errors import NoStructureFound
 from .expansion import (deficit, kneser_witness, nonexpander_probe,
                         submodular_check)
 from .fibers import spillover_bound, transfer
-from .groups import (Arc, cyclic_subgroup, enumerate_characters,
+from .groups import (Arc, GroupModel, cyclic_subgroup, enumerate_characters,
                      make_cyclic, make_product, symmetric_group_table,
                      make_from_table)
 from .inverse1d import TorusStructure, torus_inverse
 from .pseudometric import (SignContext, ball, ball_growth_check,
                            pseudometric_from_set, relative_sign,
                            total_weight)
-from .sumset import (Subset, bohr_preimage, cyclic_sumset_batch,
-                     fast_product_set, popcount_u32, product_set)
+from .sumset import Subset, bohr_preimage, fast_product_set, product_set
 
 
 @dataclass
@@ -42,18 +41,22 @@ class SuiteResult:
         return self.failures == 0
 
 
-def _normalized_masks_with_zero(n: int, max_size=None):
-    """All subset masks of Z_n containing 0 (translation normal form)."""
-    masks = []
-    rest = list(range(1, n))
-    max_size = max_size or n
-    for k in range(0, max_size):
-        for comb in combinations(rest, k):
-            m = 1
-            for x in comb:
-                m |= 1 << x
-            masks.append(m)
-    return np.array(masks, dtype=np.uint32)
+def _normalized_rows_with_zero(n: int, max_size=None) -> np.ndarray:
+    """Membership rows of every subset of Z_n that holds 0 (translation
+    normal form) and has at most max_size members, by size, then in
+    lexicographic order of the other members."""
+    combos = [c for k in range(max_size or n) for c in combinations(range(1, n), k)]
+    rows = np.zeros((len(combos), n), dtype=bool)
+    rows[:, 0] = True
+    for row, c in zip(rows, combos):
+        row[list(c)] = True
+    return rows
+
+
+def _product_sizes(g: GroupModel, a_idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|AB| for every membership row B: z is in AB iff some a^-1 z is in B."""
+    return np.count_nonzero(rows[:, g.mul_arr(g.inv_vec(a_idx)[:, None], g.elements())]
+                            .any(axis=1), axis=1)
 
 
 def cauchy_davenport_suite(random_pairs: int = 100_000, seed: int = 0) -> SuiteResult:
@@ -61,45 +64,36 @@ def cauchy_davenport_suite(random_pairs: int = 100_000, seed: int = 0) -> SuiteR
 
     Exhaustive over all pairs with 0 in A, 0 in B and |A|, |B| <= 7
     (every pair is translation-equivalent to one of these), plus the
-    random unrestricted pairs.  Vectorized over B masks per A.
+    random unrestricted pairs.  Vectorized over B rows per A.
     """
     t0 = time.time()
     n = 13
-    masks = _normalized_masks_with_zero(n, max_size=7)
-    sizes = popcount_u32(masks)
+    z13 = make_cyclic(n)
+    rows = _normalized_rows_with_zero(n, max_size=7)
+    sizes = rows.sum(axis=1)
     failures = 0
     total = 0
-    full = np.uint32((1 << n) - 1)
-    for i in range(len(masks)):
-        a_mask = int(masks[i])
-        a_idx = [j for j in range(n) if (a_mask >> j) & 1]
-        ab = cyclic_sumset_batch(n, a_idx, masks)
-        k = popcount_u32(ab)
-        bound = np.minimum(int(sizes[i]) + sizes - 1, n)
-        failures += int(np.count_nonzero(k < bound))
-        total += len(masks)
+    for i in range(len(rows)):
+        k = _product_sizes(z13, np.flatnonzero(rows[i]), rows)
+        failures += int(np.count_nonzero(k < np.minimum(sizes[i] + sizes - 1, n)))
+        total += k.size
     rng = np.random.default_rng(seed)
-    rand_a = rng.integers(1, 1 << n, random_pairs).astype(np.uint32)
-    rand_b = rng.integers(1, 1 << n, random_pairs).astype(np.uint32)
+    rand_a = rng.integers(1, 1 << n, random_pairs)
+    rand_b = rng.integers(1, 1 << n, random_pairs)
     # group random pairs by A for batching
     order = np.argsort(rand_a, kind="stable")
-    rand_a, rand_b = rand_a[order], rand_b[order]
-    i = 0
-    while i < random_pairs:
-        j = i
-        while j < random_pairs and rand_a[j] == rand_a[i]:
-            j += 1
-        a_mask = int(rand_a[i])
-        a_idx = [x for x in range(n) if (a_mask >> x) & 1]
-        bs = rand_b[i:j]
-        ab = cyclic_sumset_batch(n, a_idx, bs)
-        k = popcount_u32(ab)
-        bound = np.minimum(len(a_idx) + popcount_u32(bs) - 1, n)
-        failures += int(np.count_nonzero(k < bound))
-        total += j - i
-        i = j
+    bits = np.arange(n)
+    a_rows = (rand_a[order, None] >> bits & 1).astype(bool)
+    b_rows = (rand_b[order, None] >> bits & 1).astype(bool)
+    starts = np.flatnonzero(np.diff(rand_a[order], prepend=0))
+    for i, j in zip(starts, np.append(starts[1:], random_pairs)):
+        a_idx = np.flatnonzero(a_rows[i])
+        k = _product_sizes(z13, a_idx, b_rows[i:j])
+        failures += int(np.count_nonzero(k < np.minimum(a_idx.size + b_rows[i:j].sum(axis=1) - 1,
+                                                        n)))
+        total += k.size
     return SuiteResult("cauchy-davenport", total, failures,
-                       {"exhaustive_pairs": len(masks) ** 2,
+                       {"exhaustive_pairs": len(rows) ** 2,
                         "random_pairs": random_pairs},
                        time.time() - t0)
 
@@ -114,26 +108,22 @@ def vosper_suite() -> SuiteResult:
     t0 = time.time()
     n = 13
     z13 = make_cyclic(n)
-    masks = _normalized_masks_with_zero(n)
-    sizes = popcount_u32(masks)
+    rows = _normalized_rows_with_zero(n)
+    sizes = rows.sum(axis=1)
     total = 0
     failures = 0
-    equality_cases = 0
-    for i in range(len(masks)):
+    for i in range(len(rows)):
         na = int(sizes[i])
         if na < 2:
             continue
-        a_mask = int(masks[i])
-        a_idx = [j for j in range(n) if (a_mask >> j) & 1]
-        ab = cyclic_sumset_batch(n, a_idx, masks)
-        k = popcount_u32(ab)
-        hit = np.flatnonzero((k == na + sizes - 1) & (sizes > 1) & (k <= 11))
+        # |A+B| = |A| + |B| - 1 <= 11 needs |B| <= 12 - |A|; rows are in size order
+        cut = int(np.searchsorted(sizes, 12 - na, side="right"))
+        k = _product_sizes(z13, np.flatnonzero(rows[i]), rows[:cut])
+        hit = np.flatnonzero((k == na + sizes[:cut] - 1) & (sizes[:cut] > 1))
+        a = Subset.from_members(z13, rows[i])
         for j in hit:
             total += 1
-            equality_cases += 1
-            a = Subset.from_indices(z13, a_idx)
-            b_mask = int(masks[int(j)])
-            b = Subset.from_indices(z13, [x for x in range(n) if (b_mask >> x) & 1])
+            b = Subset.from_members(z13, rows[j])
             big, small = (a, b) if a.size >= b.size else (b, a)
             try:
                 res = torus_inverse(z13, big, small, tau=Fraction(10 ** 6),
@@ -153,7 +143,7 @@ def vosper_suite() -> SuiteResult:
             if not (all(int(x) in msa for x in da) and all(int(x) in msb for x in db)):
                 failures += 1
     return SuiteResult("vosper", total, failures,
-                       {"equality_cases": equality_cases}, time.time() - t0)
+                       {"equality_cases": total}, time.time() - t0)
 
 
 def submodularity_suite(trials: int = 10_000, seed: int = 0) -> SuiteResult:

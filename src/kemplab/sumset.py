@@ -262,35 +262,6 @@ def fast_product_set(g_model: GroupModel, a: Subset, b: Subset) -> Subset:
     return Subset.from_members(g_model, _product_counts(g_model, a, b) > 0)
 
 
-def cyclic_sumset_batch(n: int, a_indices, b_masks: np.ndarray) -> np.ndarray:
-    """Sumsets A + B_j over many B masks at once (Z_n, n <= 32, uint32 masks).
-
-    Used by the exhaustive verification suites where per-call overhead
-    would dominate; agreement with product_set is itself under test.
-    """
-    if n > 32:
-        raise PreconditionError("mask width", f"Z_{n} does not fit a 32-bit mask")
-    full = np.uint32((1 << n) - 1)
-    out = np.zeros_like(b_masks)
-    b = b_masks.astype(np.uint32)
-    for s in a_indices:
-        s = int(s)
-        if s == 0:
-            out |= b
-        else:
-            out |= ((b << np.uint32(s)) | (b >> np.uint32(n - s))) & full
-    return out
-
-
-_PC16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-
-
-def popcount_u32(masks: np.ndarray) -> np.ndarray:
-    m = masks.astype(np.uint32)
-    return (_PC16[m & np.uint32(0xFFFF)].astype(np.int64)
-            + _PC16[(m >> np.uint32(16)) & np.uint32(0xFFFF)].astype(np.int64))
-
-
 # -- overlaps --------------------------------------------------------------
 
 

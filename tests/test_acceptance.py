@@ -28,6 +28,7 @@ def _report(num, ok, detail):
 
 def test_criterion_1_cauchy_davenport():
     res = cauchy_davenport_suite(random_pairs=100_000, seed=0)
+    assert res.total == 2510 ** 2 + 100_000     # 2510 normalized sets of size <= 7
     ok = res.passed and res.elapsed < 60
     _report(1, ok, f"{res.total} pairs, {res.failures} violations, "
                    f"{res.elapsed:.1f}s (< 60s)")
@@ -35,6 +36,7 @@ def test_criterion_1_cauchy_davenport():
 
 def test_criterion_2_vosper():
     res = vosper_suite()
+    assert res.total == res.detail["equality_cases"] == 5220
     ok = res.passed and res.elapsed < 300
     _report(2, ok, f"{res.detail['equality_cases']} equality cases, "
                    f"{res.failures} misses, {res.elapsed:.1f}s (< 5min)")

@@ -5,6 +5,8 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+
 import kemplab
 from kemplab import io
 from kemplab.cli import main
@@ -37,3 +39,12 @@ def test_readme_key_table_is_the_reader_tables():
     tables = {"group": io.GROUP_FIELDS, "subset": io.SUBSET_FIELDS,
               "planting spec": io.PLANTING_FIELDS, "pipeline config": io.PIPELINE_FIELDS}
     assert sorted(rows) == sorted((kind, key) for kind, t in tables.items() for key in t)
+
+
+def test_no_module_holds_a_numpy_array():
+    # a module-level array is built by every `import kemplab`, so each
+    # workload's set-up pays for it
+    for info in pkgutil.iter_modules(kemplab.__path__):
+        module = importlib.import_module(f"kemplab.{info.name}")
+        arrays = [name for name, v in vars(module).items() if isinstance(v, np.ndarray)]
+        assert arrays == [], module.__name__

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kemplab import (AlmostHom, AlphaResult, Arc, FiberRigidityReport,
                      LambdaSequence, PipelineConfig, QuantizationReport,
@@ -17,10 +19,14 @@ from kemplab import (AlmostHom, AlphaResult, Arc, FiberRigidityReport,
                      snap_to_character, symmetric_group_table)
 from kemplab.errors import (NoCharacterWithinBound, PreconditionError,
                             StageError)
-from kemplab.groups import Character, cayley_bfs, cayley_word
+from kemplab.groups import (Character, cayley_bfs, cayley_word, coset_partition,
+                            distinct_cyclic_subgroups, powers, subgroup_from_members)
 from kemplab import homextract
 from kemplab.groups import _character_images
-from kemplab.homextract import _auto_lambda, _nearest_character
+from kemplab.fibers import fiber_profile
+from kemplab.homextract import _auto_lambda, _concentration, _nearest_character
+from kemplab.inverse1d import TorusStructure, torus_inverse
+from kemplab.sumset import fast_product_set
 from kemplab.pseudometric import _loop_bounds, signed_weight
 
 
@@ -312,6 +318,202 @@ def test_golden_fiberwise_rigidity_demo_instance():
     rep = fiberwise_rigidity_report(g, h, a1, b, Fraction(1, 48))
     assert rep == FiberRigidityReport(Fraction(1), True, Fraction(1, 24), Fraction(0),
                                       Fraction(1, 24), 0, 200, 20, 0)
+
+
+def rigidity_oracle(g_model, h, a, b, delta, c=Fraction(1, 2), eta=None):
+    """The fiberwise rigidity report with its own fiber-coordinate dict,
+    per-coset coordinate lists and a start-by-start circular window."""
+    delta = Fraction(delta)
+    c = Fraction(c)
+    prof_a = fiber_profile(g_model, h, a, "left")
+    prof_b = fiber_profile(g_model, h, b, "right")
+    hsize = h.order
+    if any(Fraction(int(x), hsize) >= c for x in prof_a.counts) or \
+       any(Fraction(int(x), hsize) >= c for x in prof_b.counts):
+        raise PreconditionError("short fibers", f"a fiber reaches length >= {c}")
+
+    hs = Subset.from_indices(g_model, h.members)
+    ah = fast_product_set(g_model, a, hs)
+    hb = fast_product_set(g_model, hs, b)
+    ratio = Fraction(ah.size, hb.size)
+    if eta is None:
+        eta = max(delta, Fraction(1, g_model.order)) * 2
+    ratio_ok = Fraction(1, 1) / (1 + eta) < ratio < 1 + eta
+
+    conc_a = _concentration(prof_a.counts, hsize, Fraction(99, 100))
+    conc_b = _concentration(prof_b.counts, hsize, Fraction(99, 100))
+
+    if h.generator is None:
+        raise PreconditionError("cyclic subgroup", "fiber fits need a generator")
+    coord = {x: k for k, x in enumerate(powers(g_model, h.generator).tolist())}
+
+    def fiber_coords_by_coset(s, side):
+        cid, reps = coset_partition(g_model, h, side)
+        out = {}
+        for x in s.indices():
+            x = int(x)
+            rep = int(reps[int(cid[x])])
+            if side == "left":
+                k = coord[g_model.mul(g_model.inv(rep), x)]
+            else:
+                k = coord[g_model.mul(x, g_model.inv(rep))]
+            out.setdefault(int(cid[x]), []).append(k)
+        return out
+
+    def best_window(coords):
+        ln = len(coords)
+        present = np.zeros(hsize, dtype=bool)
+        present[coords] = True
+        csum = np.concatenate([[0], np.cumsum(np.concatenate([present, present]))])
+        best = None
+        for s in range(hsize):
+            inside = int(csum[s + ln] - csum[s])
+            gap = (ln - inside) * 2
+            if best is None or gap < best[0]:
+                best = (gap, s)
+        return best
+
+    worst_gap = Fraction(0)
+    per_coset_a = fiber_coords_by_coset(a, "left")
+    per_coset_b = fiber_coords_by_coset(b, "right")
+    offsets = {}
+    for cnum, coords in per_coset_a.items():
+        gap, start = best_window(sorted(coords))
+        offsets[cnum] = start
+        worst_gap = max(worst_gap, Fraction(gap, hsize))
+    for coords in per_coset_b.values():
+        gap, _start = best_window(sorted(coords))
+        worst_gap = max(worst_gap, Fraction(gap, hsize))
+
+    rng = np.random.default_rng(homextract.SAMPLE_SEED)
+    defect = 0
+    sampled = 0
+    coset_list = list(per_coset_a)
+    if coset_list:
+        for _ in range(200):
+            c1, c2, c3 = (coset_list[int(i)] for i in
+                          rng.integers(0, len(coset_list), 3))
+            z1, z2, z3 = offsets[c1], offsets[c2], offsets[c3]
+            r = ((z1 - z2) - ((z1 - z3) + (z3 - z2))) % hsize
+            defect = max(defect, min(r, hsize - r))
+            sampled += 1
+
+    structured = 0
+    escaped = 0
+    if per_coset_a and per_coset_b:
+        zh = make_cyclic(hsize)
+        keys_a = sorted(per_coset_a)
+        keys_b = sorted(per_coset_b)
+        for i in range(min(20, len(keys_a) * len(keys_b))):
+            ca = keys_a[int(rng.integers(0, len(keys_a)))]
+            cb = keys_b[int(rng.integers(0, len(keys_b)))]
+            fa = Subset.from_indices(zh, per_coset_a[ca])
+            fb = Subset.from_indices(zh, per_coset_b[cb])
+            big, small = (fa, fb) if fa.size >= fb.size else (fb, fa)
+            res = torus_inverse(zh, big, small, tau=Fraction(10 ** 9), c=Fraction(1))
+            if isinstance(res, TorusStructure):
+                structured += 1
+            else:
+                escaped += 1
+
+    return FiberRigidityReport(ratio, ratio_ok, conc_a, conc_b, worst_gap,
+                               defect, sampled, structured, escaped)
+
+
+def report_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:       # the oracle and the report must fail alike
+        return repr(exc)
+
+
+S3 = make_from_table(symmetric_group_table(3)[0], "S3")
+RIGIDITY_MODELS = {
+    "cyclic": make_cyclic(24),
+    "product": make_product(make_cyclic(6), make_cyclic(4)),
+    "table": S3,
+    "table x cyclic": make_product(S3, make_cyclic(4)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(RIGIDITY_MODELS)), st.data())
+def test_rigidity_report_matches_the_oracle(kind, data):
+    # every cyclic subgroup, and one subgroup known only by its members
+    g = RIGIDITY_MODELS[kind]
+    subgroups = distinct_cyclic_subgroups(g)
+    subgroups.append(subgroup_from_members(g, subgroups[-1].members))
+    h = data.draw(st.sampled_from(subgroups))
+    a, b = (Subset.from_indices(g, data.draw(st.sets(st.integers(0, g.order - 1),
+                                                     min_size=1, max_size=g.order // 3)))
+            for _ in range(2))
+    expect = report_or_error(rigidity_oracle, g, h, a, b, Fraction(1, 100), c=Fraction(1))
+    assert report_or_error(fiberwise_rigidity_report, g, h, a, b, Fraction(1, 100),
+                           c=Fraction(1)) == expect
+
+
+def test_rigidity_report_keeps_cosets_in_order_of_first_member():
+    # Z24 along <6>: A's first members in each coset, 1, 3, 12 and 20, lie
+    # in cosets 1, 3, 0 and 2
+    g = make_cyclic(24)
+    h = cyclic_subgroup(g, 6)
+    a = Subset.from_indices(g, [1, 12, 18, 3, 20, 9])
+    b = Subset.from_indices(g, [5, 6, 2, 11, 0])
+    zh = make_cyclic(h.order)
+    log = np.zeros(24, dtype=np.int64)
+    log[powers(g, 6)] = np.arange(h.order)
+    assert list(homextract._fibers(g, h, a, "left", zh, log)) == [1, 3, 0, 2]
+    for delta in (Fraction(1, 240), Fraction(1, 2)):
+        assert fiberwise_rigidity_report(g, h, a, b, delta, c=Fraction(1)) == \
+            rigidity_oracle(g, h, a, b, delta, c=Fraction(1))
+
+
+def test_rigidity_report_reads_right_fibers_as_h_times_rep():
+    # S3 x Z4 along an order-4 subgroup that is not normal: reading B's
+    # right fibers as left ones changes which fiber pairs are structured
+    g = RIGIDITY_MODELS["table x cyclic"]
+    h = cyclic_subgroup(g, 5)
+    a = Subset.from_indices(g, [4, 6, 7, 11, 12, 18])
+    b = Subset.from_indices(g, [0, 3, 12, 16, 20, 23])
+    rep = fiberwise_rigidity_report(g, h, a, b, Fraction(1, 100), c=Fraction(1))
+    assert rep == rigidity_oracle(g, h, a, b, Fraction(1, 100), c=Fraction(1))
+    assert (rep.structured_fiber_pairs, rep.escaped_fiber_pairs) == (1, 19)
+
+
+def spread_oracle(values, alpha_num):
+    """The first (i, j) pair of distinct values, in value order, that sit
+    more than alpha/3 apart on the circle, as first elements."""
+    vals = np.unique(values)
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            r = int((vals[j] - vals[i]) % alpha_num)
+            if min(r, alpha_num - r) * 3 > alpha_num:
+                return (int(np.flatnonzero(values == vals[i])[0]),
+                        int(np.flatnonzero(values == vals[j])[0]))
+    return None
+
+
+def test_spread_witness_matches_the_pair_loop():
+    rng = np.random.default_rng(21)
+    found = set()
+    for _ in range(1000):
+        alpha_num = int(rng.integers(1, 61))
+        values = rng.integers(0, alpha_num, int(rng.integers(1, 13)))
+        hom = AlmostHom(make_cyclic(1), Fraction(alpha_num), values, 1, Fraction(0), True, 0)
+        expect = spread_oracle(values, alpha_num)
+        assert hom.spread_witness() == expect
+        found.add(expect is None)
+    assert found == {True, False}
+
+
+def test_spread_witness_without_a_witness():
+    # values within alpha/3 of each other, or exactly alpha/3 apart
+    for values, alpha_num in (([0, 0, 0], 9), ([0, 3, 2, 1], 9), ([5, 7, 6], 9),
+                              ([0, 8, 1], 9), ([4], 1)):
+        hom = AlmostHom(make_cyclic(1), Fraction(alpha_num), np.array(values), 1,
+                        Fraction(0), True, 0)
+        assert hom.spread_witness() is None
+        assert spread_oracle(np.array(values), alpha_num) is None
 
 
 # -- golden outputs at gamma > 0, frozen before the integer norm cuts -------

@@ -11,7 +11,7 @@ from kemplab import (Subset, cyclic_subgroup, fast_product_set, make_cyclic,
                      make_from_table, make_product, overlap_profile, period_stabilizer,
                      product_set, quotient, symmetric_group_table, translate_overlap)
 from kemplab.errors import GroupMismatch, PreconditionError
-from kemplab.sumset import cyclic_sumset_batch, popcount_u32
+from kemplab.suites import _product_sizes
 
 
 def test_product_set_examples():
@@ -154,33 +154,37 @@ def test_inverse_symmetry():
         assert s.inverse().measure() == s.measure()
 
 
-def test_batch_kernel_matches_product_set():
-    n = 13
-    z = make_cyclic(n)
-    rng = np.random.default_rng(5)
-    b_masks = rng.integers(1, 1 << n, 200).astype(np.uint32)
-    a_idx = [0, 3, 7]
-    out = cyclic_sumset_batch(n, a_idx, b_masks)
-    a = Subset.from_indices(z, a_idx)
-    for j in range(len(b_masks)):
-        b = Subset(z, int(b_masks[j]))
-        assert int(out[j]) == product_set(z, a, b).mask
-    assert np.array_equal(popcount_u32(b_masks),
-                          np.array([int(m).bit_count() for m in b_masks]))
+SIZE_MODELS = {
+    "cyclic": make_cyclic(13),
+    "product": make_product(make_cyclic(3), make_cyclic(4)),
+    "table": make_from_table(symmetric_group_table(3)[0], "S3"),
+    "table x cyclic": make_product(make_from_table(symmetric_group_table(3)[0], "S3"),
+                                   make_cyclic(2)),
+}
 
 
-def test_batch_kernel_covers_z32_and_refuses_wider_masks():
-    z = make_cyclic(32)
-    rng = np.random.default_rng(6)
-    b_masks = rng.integers(1, 1 << 32, 40, dtype=np.uint64).astype(np.uint32)
-    a_idx = [0, 1, 17, 31]
-    out = cyclic_sumset_batch(32, a_idx, b_masks)
-    a = Subset.from_indices(z, a_idx)
-    for j in range(len(b_masks)):
-        assert int(out[j]) == product_set(z, a, Subset(z, int(b_masks[j]))).mask
-    with pytest.raises(PreconditionError) as exc:
-        cyclic_sumset_batch(33, a_idx, b_masks)
-    assert exc.value.name == "mask width"
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SIZE_MODELS)), st.data())
+def test_product_sizes_match_product_set(kind, data):
+    # the Z_13 suites' size kernel against the naive oracle, row by row
+    g = SIZE_MODELS[kind]
+    elements = st.integers(0, g.order - 1)
+    a_idx = np.array(data.draw(st.lists(elements, max_size=g.order // 2)), dtype=np.int64)
+    rows = np.zeros((data.draw(st.integers(0, 6)), g.order), dtype=bool)
+    for row in rows:
+        row[list(data.draw(st.sets(elements, max_size=g.order // 2)))] = True
+    a = Subset.from_indices(g, a_idx)
+    expect = [product_set(g, a, Subset.from_members(g, r)).size for r in rows]
+    assert _product_sizes(g, a_idx, rows).tolist() == expect
+    assert _product_sizes(g, np.array([], dtype=np.int64), rows).tolist() == [0] * len(rows)
+    assert _product_sizes(g, a_idx, rows[:0]).shape == (0,)
+
+
+def test_product_sizes_multiply_a_on_the_left():
+    g = SIZE_MODELS["table"]
+    a, b = Subset.from_indices(g, [0, 1]), Subset.from_indices(g, [2, 3])
+    assert product_set(g, a, b).size == 4 and product_set(g, b, a).size == 2
+    assert _product_sizes(g, a.indices(), b.members[None]).tolist() == [4]
 
 
 @settings(max_examples=80, deadline=None)
