@@ -48,14 +48,13 @@ print("quotient pair widths:", out.a_quot.size, out.b_quot.size,
       "columns of Z_48")
 
 # %% fiberwise rigidity along the short direction: every fiber of the
-# planted pair is a 10/48 (or 12/48) arc, offsets aligned, and the 1-D
-# oracle confirms the fiber pairs are dilated arcs
+# planted pair is a 10/48 (or 12/48) arc, and the 1-D oracle confirms the
+# fiber pairs are dilated arcs
 from kemplab import fiberwise_rigidity_report
 
 rig = fiberwise_rigidity_report(g, cyclic_subgroup(g, 5), a, b, Fraction(1, 240))
 print("\nwidth ratio:", rig.width_ratio, " fiber concentration:",
       rig.concentration_a, rig.concentration_b)
-print("fiber arc-fit gap:", rig.fiber_fit_max_gap,
-      " offset additivity defect:", rig.xi_additivity_defect)
+print("fiber arc-fit gap:", rig.fiber_fit_max_gap)
 print("fiber pairs through the 1-D oracle:", rig.structured_fiber_pairs,
       "structured,", rig.escaped_fiber_pairs, "escaped")

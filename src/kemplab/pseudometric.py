@@ -771,91 +771,22 @@ def _reconstruct(layers, prev_depth, meta):
     return tuple(entries)
 
 
-_HALF = 0xFFFFFFFF
+def _floyd_positions(streams, n: int) -> np.ndarray:
+    """Samples of 8 distinct positions in range(n) by Floyd's algorithm
+    on raw PCG64 words, as one (rows, 8) int64 array.
 
-
-def _choice_rows(streams, n: int) -> np.ndarray:
-    """Consecutive ``Generator.choice(n, 8, replace=False)`` draws from
-    several PCG64 streams, as one (rows, 8) int64 array.
-
-    ``streams`` lists ``(bitgen, carry, rows)``: ``rows`` draws from the
-    stream of ``bitgen``, and the streams' rows follow one another in
-    list order.  For a sample of 8, numpy's choice is Floyd's algorithm
-    (draws in [0, j] for j = n-8..n-1, taking j when the draw is already
-    chosen) followed by a Fisher-Yates shuffle (draws in [0, i] for
-    i = 7..1), and each bounded draw on range r is Lemire's
-    multiply-shift on one 32-bit half u of a 64-bit output, low half
-    first: floor(u r / 2^32), rejected (taking the next half) when
-    (u r) mod 2^32 < (2^32 - r) mod r.  A row takes 15 halves unless a
-    draw is rejected, so each stream is read in one ``random_raw`` call
-    and the 15 steps run once, as column operations over the rows of
-    every stream.  From a stream's first row with a rejected draw on,
-    its rows are redone one draw at a time from the same halves.
-    ``carry`` holds a stream's unread high half (at most one) between
-    calls and is updated in place.
+    ``streams`` lists ``(bitgen, rows)``: ``rows`` samples from
+    ``bitgen``, the streams' rows following one another in list order.
+    A row reads 8 words; step k = 0..7 takes word_k mod (n - 7 + k), or
+    n - 8 + k when that position is already chosen.  The steps run once
+    over the rows of every stream.
     """
-    halves = []
-    for bitgen, carry, rows in streams:
-        words = bitgen.random_raw((rows * 15 - len(carry) + 1) // 2)
-        halves.append(np.concatenate([np.array(carry, dtype=np.uint64),
-                                      words.astype("<u8").view("<u4")]))
-    ranges = np.array(list(range(n - 7, n + 1)) + list(range(8, 1, -1)), dtype=np.uint64)
-    m = np.concatenate([h[:rows * 15] for h, (_, _, rows) in zip(halves, streams)])
-    m = m.reshape(-1, 15) * ranges
-    total = len(m)
-    # the batch works on (step, row) arrays, so each step is one contiguous row
-    draws = (m.T >> 32).astype(np.int64)
-    sel = draws[:8].copy()
+    words = np.concatenate([bitgen.random_raw((rows, 8)) for bitgen, rows in streams])
+    # (step, row) arrays, so each step is one contiguous row
+    pick = (words % np.arange(n - 7, n + 1, dtype=np.uint64)).T.astype(np.int64)
     for k in range(1, 8):
-        np.copyto(sel[k], n - 8 + k, where=(sel[:k] == sel[k]).any(axis=0))
-    flat = sel.reshape(-1)
-    for i, j in zip(range(7, 0, -1), draws[8:] * total + np.arange(total)):
-        swap = flat.take(j)
-        flat.put(j, sel[i])
-        sel[i] = swap
-    pick = sel.T
-    rejected = ((m & _HALF) < (2**32 - ranges) % ranges).any(axis=1)
-    end = 0
-    for h, (bitgen, carry, rows) in zip(halves, streams):
-        start, end = end, end + rows
-        rej = rejected[start:end]
-        first = int(rej.argmax()) if rej.any() else rows
-        tail = h[first * 15:].tolist()
-        if first < rows:
-            pick[start + first:end] = _choice_scalar(bitgen, tail, n, rows - first)
-        carry[:] = tail
-    return pick
-
-
-def _choice_scalar(bitgen, tail: list, n: int, rows: int) -> list:
-    """``rows`` choice(n, 8, replace=False) draws, one bounded draw at a
-    time, reading the halves in ``tail`` before the stream of ``bitgen``;
-    the halves read are removed from ``tail``."""
-    pos = 0
-
-    def draw(r):
-        nonlocal pos
-        while True:
-            if pos == len(tail):
-                w = int(bitgen.random_raw())
-                tail.extend((w & _HALF, w >> 32))
-            u = tail[pos] * r
-            pos += 1
-            if u & _HALF >= (2**32 - r) % r:
-                return u >> 32
-
-    out = []
-    for _ in range(rows):
-        chosen = []
-        for j in range(n - 8, n):
-            v = draw(j + 1)
-            chosen.append(j if v in chosen else v)
-        for i in range(7, 0, -1):
-            k = draw(i + 1)
-            chosen[i], chosen[k] = chosen[k], chosen[i]
-        out.append(chosen)
-    del tail[:pos]
-    return out
+        np.copyto(pick[k], n - 8 + k, where=(pick[:k] == pick[k]).any(axis=0))
+    return pick.T
 
 
 def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
@@ -876,21 +807,24 @@ def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
     least (|t|, path) over the identity-product candidates of every
     restart and depth.
 
-    The draws are defined as numpy's: restart r seeds
-    ``default_rng(rng_master.integers(0, 2**63 - 1))`` (the seeds drawn
-    in restart order) and each kept path, in beam order, takes the 8
-    letter positions that ``choice(len(alphabet), 8, replace=False)``
-    would return on that generator.  ``_choice_rows`` computes a whole
-    layer of them from the raw PCG64 streams; a test pins it to the
-    installed numpy's ``Generator.choice``, so a change in numpy's
-    sampler fails that one test before it moves any seeded witness.
+    Restart r seeds ``default_rng(rng_master.integers(0, 2**63 - 1))``
+    (the seeds drawn in restart order), and each kept path, in beam
+    order, takes the 8 letter positions that Floyd's algorithm draws on
+    that generator's PCG64 (``_floyd_positions``, one call per depth
+    for every live restart): one raw 64-bit word per step, step
+    k = 0..7 taking word_k mod (n - 7 + k), n the alphabet size, or
+    n - 8 + k when that position is already chosen.  The candidates are
+    ranked, not read in draw order, so no shuffle follows, and the
+    modulo bias (at most n / 2^64) cannot touch a bound its witness
+    certifies.  PCG64's raw output, not numpy's sampler, fixes every
+    seeded witness.
     Windows and products are ``mul_arr`` products.
     """
     d = ctx.d
     g = d.group
     norms = d.norm_num
     rng_master = np.random.default_rng(seed)
-    streams = [(np.random.default_rng(rng_master.integers(0, 2**63 - 1)).bit_generator, [])
+    bitgens = [np.random.default_rng(rng_master.integers(0, 2**63 - 1)).bit_generator
                for _ in range(BEAM_RESTARTS)]
     letters, weight = _letters(ctx, lam)
     alphabet = np.array(sorted(letters, key=lambda a: (-norms.item(a), a)), dtype=np.int64)
@@ -911,8 +845,8 @@ def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
             pick = np.broadcast_to(np.arange(n_letters), (len(paths), n_letters))
         else:
             live, counts = np.unique(restart, return_counts=True)
-            pick = _choice_rows([(*streams[r], k) for r, k in
-                                 zip(live.tolist(), counts.tolist())], n_letters)
+            pick = _floyd_positions([(bitgens[r], k) for r, k in
+                                     zip(live.tolist(), counts.tolist())], n_letters)
         cand = alphabet[pick]
         # windows of length 2..4 ending at the new letter leave the ball
         ok = np.ones(cand.shape, dtype=bool)

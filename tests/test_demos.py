@@ -19,7 +19,7 @@ DIGESTS = {
     "demo_01_groups_and_deficits.py":
         "9dbe60c3c3beb7f9af5e8d989c51ed55ca87ef0050ea11ce27e2250976a061e8",
     "demo_02_quotient_transfer.py":
-        "8a1a5f9d643923da90b750f295c9ac88e84ab5a91bcb2bf0b80deebf9f0e47ab",
+        "7acb46a9fb33c90d79558c040310e6c56a68ee8334735789816dfad19732c529",
     "demo_03_pseudometric_walkthrough.py":
         "1331e9d70458ab77cd07c7c3386ec5564b00dadfff228519852a77d54817d6c1",
     "demo_04_character_recovery.py":

@@ -17,8 +17,8 @@ from kemplab import (AlmostHom, AlphaResult, Arc, FiberRigidityReport,
                      loop_quantization_check, make_cyclic, make_from_table,
                      make_product, pseudometric, pseudometric_from_set,
                      snap_to_character, symmetric_group_table)
-from kemplab.errors import (NoCharacterWithinBound, PreconditionError,
-                            StageError)
+from kemplab.errors import (EmptyInput, NoCharacterWithinBound, NoStructureFound,
+                            PreconditionError, StageError)
 from kemplab.groups import (Character, cayley_bfs, cayley_word, coset_partition,
                             distinct_cyclic_subgroups, powers, subgroup_from_members)
 from kemplab import homextract
@@ -261,7 +261,6 @@ def test_fiberwise_rigidity_planted():
     assert rep.width_ratio == 1 and rep.width_ratio_ok
     assert rep.concentration_a == 0 and rep.concentration_b == 0
     assert rep.fiber_fit_max_gap == 0
-    assert rep.xi_additivity_defect == 0
 
 
 def test_fiberwise_rigidity_kakeya_guard():
@@ -312,17 +311,19 @@ def test_golden_fiberwise_rigidity_demo_instance():
     h = cyclic_subgroup(g, 5)
     rep = fiberwise_rigidity_report(g, h, a, b, Fraction(1, 240))
     assert rep == FiberRigidityReport(Fraction(1), True, Fraction(0), Fraction(0),
-                                      Fraction(0), 0, 200, 20, 0)
+                                      Fraction(0), 20, 0)
     drop = np.random.default_rng(3).choice(a.indices(), size=2, replace=False)
     a1 = a.difference(Subset.from_indices(g, drop))
     rep = fiberwise_rigidity_report(g, h, a1, b, Fraction(1, 48))
     assert rep == FiberRigidityReport(Fraction(1), True, Fraction(1, 24), Fraction(0),
-                                      Fraction(1, 24), 0, 200, 20, 0)
+                                      Fraction(1, 24), 20, 0)
 
 
 def rigidity_oracle(g_model, h, a, b, delta, c=Fraction(1, 2), eta=None):
     """The fiberwise rigidity report with its own fiber-coordinate dict,
     per-coset coordinate lists and a start-by-start circular window."""
+    if a.size == 0 or b.size == 0:
+        raise EmptyInput("fiberwise rigidity requires nonempty A and B")
     delta = Fraction(delta)
     c = Fraction(c)
     prof_a = fiber_profile(g_model, h, a, "left")
@@ -340,8 +341,8 @@ def rigidity_oracle(g_model, h, a, b, delta, c=Fraction(1, 2), eta=None):
         eta = max(delta, Fraction(1, g_model.order)) * 2
     ratio_ok = Fraction(1, 1) / (1 + eta) < ratio < 1 + eta
 
-    conc_a = _concentration(prof_a.counts, hsize, Fraction(99, 100))
-    conc_b = _concentration(prof_b.counts, hsize, Fraction(99, 100))
+    conc_a = _concentration(prof_a.counts, Fraction(99, 100))
+    conc_b = _concentration(prof_b.counts, Fraction(99, 100))
 
     if h.generator is None:
         raise PreconditionError("cyclic subgroup", "fiber fits need a generator")
@@ -376,48 +377,33 @@ def rigidity_oracle(g_model, h, a, b, delta, c=Fraction(1, 2), eta=None):
     worst_gap = Fraction(0)
     per_coset_a = fiber_coords_by_coset(a, "left")
     per_coset_b = fiber_coords_by_coset(b, "right")
-    offsets = {}
-    for cnum, coords in per_coset_a.items():
-        gap, start = best_window(sorted(coords))
-        offsets[cnum] = start
-        worst_gap = max(worst_gap, Fraction(gap, hsize))
-    for coords in per_coset_b.values():
+    for coords in [*per_coset_a.values(), *per_coset_b.values()]:
         gap, _start = best_window(sorted(coords))
         worst_gap = max(worst_gap, Fraction(gap, hsize))
 
     rng = np.random.default_rng(homextract.SAMPLE_SEED)
-    defect = 0
-    sampled = 0
-    coset_list = list(per_coset_a)
-    if coset_list:
-        for _ in range(200):
-            c1, c2, c3 = (coset_list[int(i)] for i in
-                          rng.integers(0, len(coset_list), 3))
-            z1, z2, z3 = offsets[c1], offsets[c2], offsets[c3]
-            r = ((z1 - z2) - ((z1 - z3) + (z3 - z2))) % hsize
-            defect = max(defect, min(r, hsize - r))
-            sampled += 1
-
     structured = 0
     escaped = 0
-    if per_coset_a and per_coset_b:
-        zh = make_cyclic(hsize)
-        keys_a = sorted(per_coset_a)
-        keys_b = sorted(per_coset_b)
-        for i in range(min(20, len(keys_a) * len(keys_b))):
-            ca = keys_a[int(rng.integers(0, len(keys_a)))]
-            cb = keys_b[int(rng.integers(0, len(keys_b)))]
-            fa = Subset.from_indices(zh, per_coset_a[ca])
-            fb = Subset.from_indices(zh, per_coset_b[cb])
-            big, small = (fa, fb) if fa.size >= fb.size else (fb, fa)
+    zh = make_cyclic(hsize)
+    keys_a = sorted(per_coset_a)
+    keys_b = sorted(per_coset_b)
+    for i in range(min(20, len(keys_a) * len(keys_b))):
+        ca = keys_a[int(rng.integers(0, len(keys_a)))]
+        cb = keys_b[int(rng.integers(0, len(keys_b)))]
+        fa = Subset.from_indices(zh, per_coset_a[ca])
+        fb = Subset.from_indices(zh, per_coset_b[cb])
+        big, small = (fa, fb) if fa.size >= fb.size else (fb, fa)
+        try:
             res = torus_inverse(zh, big, small, tau=Fraction(10 ** 9), c=Fraction(1))
-            if isinstance(res, TorusStructure):
-                structured += 1
-            else:
-                escaped += 1
+        except NoStructureFound:
+            res = None
+        if isinstance(res, TorusStructure):
+            structured += 1
+        else:
+            escaped += 1
 
     return FiberRigidityReport(ratio, ratio_ok, conc_a, conc_b, worst_gap,
-                               defect, sampled, structured, escaped)
+                               structured, escaped)
 
 
 def report_or_error(fn, *args, **kwargs):
@@ -480,6 +466,34 @@ def test_rigidity_report_reads_right_fibers_as_h_times_rep():
     assert (rep.structured_fiber_pairs, rep.escaped_fiber_pairs) == (1, 19)
 
 
+def test_rigidity_report_counts_a_pair_without_structure_as_escaped():
+    # Z2 x Z12 along <1>: A's second fiber {0, 3, 9} against B's first
+    # fiber {3, 4, 6, 9} fits no dilation of Z12, so torus_inverse raises
+    # NoStructureFound on that pair; the report counts it as escaped
+    zh = make_cyclic(12)
+    with pytest.raises(NoStructureFound):
+        torus_inverse(zh, Subset.from_indices(zh, [3, 4, 6, 9]),
+                      Subset.from_indices(zh, [0, 3, 9]), tau=Fraction(10 ** 9), c=Fraction(1))
+    g = make_product(make_cyclic(2), make_cyclic(12))
+    h = cyclic_subgroup(g, 1)
+    a = Subset.from_indices(g, [0, 1, 3, 5, 11, 12, 15, 21])
+    b = Subset.from_indices(g, [3, 4, 6, 9, 19, 22])
+    rep = fiberwise_rigidity_report(g, h, a, b, Fraction(1, 100), c=Fraction(1))
+    assert rep == rigidity_oracle(g, h, a, b, Fraction(1, 100), c=Fraction(1))
+    assert (rep.structured_fiber_pairs, rep.escaped_fiber_pairs) == (0, 4)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_rigidity_report_names_an_empty_set(side):
+    g, chi, a, b = planted()
+    h = cyclic_subgroup(g, 5)
+    empty = Subset.from_indices(g, [])
+    a, b = (empty, b) if side == "a" else (a, empty)
+    for report in (fiberwise_rigidity_report, rigidity_oracle):
+        with pytest.raises(EmptyInput):
+            report(g, h, a, b, Fraction(1, 240))
+
+
 def spread_oracle(values, alpha_num):
     """The first (i, j) pair of distinct values, in value order, that sit
     more than alpha/3 apart on the circle, as first elements."""
@@ -531,9 +545,9 @@ def test_golden_almost_hom_noisy_arc():
     res = alpha_lambda(d, lam, gamma, mode="beam", seed=1)
     hom = almost_hom(d, lam, gamma, alpha_result=res)
     assert (hom.alpha, hom.q, hom.q_exhaustive, hom.max_path_len) == \
-        (Fraction(199, 200), Fraction(23, 3000), False, 17)
+        (Fraction(1489, 1500), Fraction(1, 100), False, 17)
     digest = hashlib.sha256(hom.values_num.astype(np.int64).tobytes()).hexdigest()[:16]
-    assert digest == "7c5dd335c5433fa8"
+    assert digest == "257a8f93f5080fa4"
 
 
 def test_golden_kernel_norm_and_auto_lambda_noisy_arcs():

@@ -329,10 +329,10 @@ ARC160_STATUS = {1: "window", 2: "window", 3: "window", 4: "window", 5: "window"
                  180: "vacuous"}
 
 ARC160_BEAM_WITNESS = (
-    1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 3, 3,
-    3, 3, 3, 3, 3, 4, 2, 5, 2, 4, 2, 4, 2, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3,
-    3, 4, 2, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 5, 5, 5, 5, 5, 5, 5, 5, 4, 5, 5, 5, 5,
-    4, 5, 5, 5, 5, 5, 5, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 4, 5, 5, 1)
+    1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4,
+    3, 3, 3, 3, 4, 2, 4, 2, 4, 2, 4, 3, 3, 3, 4, 2, 4, 2, 4, 2, 4, 2, 4, 3, 3, 3,
+    3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4, 5, 5, 5, 5, 4, 5, 4, 5, 5, 5, 5, 5, 5,
+    5, 5, 5, 5, 5, 5, 5, 5, 4, 5, 5, 5, 5, 5, 5, 5, 4, 5, 5, 5, 1)
 
 
 def _linearity_fields(rep):
@@ -573,15 +573,16 @@ def test_golden_alpha_searches_noisy_arc():
     z, d, gamma = noisy_arc(3000, 1462)
     res = alpha_lambda(d, Fraction(89, 3000), gamma, mode="beam", seed=1)
     assert (res.alpha, res.exhaustive_complete, res.range_notice, res.n_max,
-            res.lower, res.upper) == (Fraction(199, 200), False, False, 67,
+            res.lower, res.upper) == (Fraction(1489, 1500), False, False, 67,
                                       Fraction(89, 2852), Fraction(356, 179))
     assert res.witness.entries == NOISY3000_BEAM_WITNESS
 
 
 NOISY3000_BEAM_WITNESS = (
-    71, 22, 68, 23, 70, 42, 80, 17, 83, 24, 70, 20, 70, 40, 63, 30, 85, 7, 87, 8,
-    83, 29, 67, 25, 83, 26, 78, 34, 74, 84, 70, 70, 87, 57, 79, 89, 73, 89, 69, 83,
-    80, 85, 84, 82, 77, 88, 64, 77, 34)
+    2912, 2989, 2914, 2992, 2913, 2993, 2912, 2973, 2930, 2977, 2930, 2977, 2932,
+    2968, 2923, 2966, 2931, 2973, 2915, 2993, 2914, 2972, 2925, 2984, 2926, 2967,
+    2938, 2964, 2912, 2920, 2927, 2935, 2922, 2956, 2911, 2911, 2911, 2922, 2920,
+    2926, 2911, 2911, 2915, 2916, 2938, 2940, 2917, 2925, 2951)
 
 
 @settings(max_examples=60, deadline=None)
@@ -694,14 +695,14 @@ def test_linearity_scan_names_the_first_worst_pair_in_index_order():
     assert gamma_linearity(d, 0).worst_triple == (0, 2, 6)
 
 
-# Beam outputs frozen before the beam held its layers as arrays: the working
-# table of criterion 7's exact pair (A3 = the first 20 cells of Z48 x Z5,
-# lambda from _auto_lambda) and a model with a table factor.
+# Beam outputs frozen with the Floyd letter draw: the working table of
+# criterion 7's exact pair (A3 = the first 20 cells of Z48 x Z5, lambda from
+# _auto_lambda) and a model with a table factor.
 
 PLANTED_BEAM_PATH = (
-    5, 5, 6, 5, 6, 5, 8, 6, 5, 6, 5, 5, 5, 5, 5, 5, 5, 7, 5, 5, 6, 6, 5, 6, 6, 5,
-    6, 5, 5, 6, 5, 6, 5, 5, 5, 5, 5, 7, 5, 5, 5, 6, 5, 5, 5, 7, 6, 8)
-S3Z20_BEAM_PATH = (1, 1, 1, 1, 1, 21, 21, 41, 21, 41, 81, 61, 21, 61, 1, 1, 21, 1, 61, 101)
+    5, 5, 5, 5, 5, 6, 6, 7, 7, 6, 6, 6, 5, 5, 5, 5, 5, 8, 6, 5, 5, 5, 5, 7, 6, 5,
+    7, 7, 5, 5, 7, 5, 5, 5, 5, 6, 5, 5, 5, 5, 7, 5, 6, 5, 5, 8, 8, 8)
+S3Z20_BEAM_PATH = (1, 1, 1, 1, 1, 1, 1, 1, 1, 21, 1, 1, 1, 1, 41, 41, 1, 1, 41, 61)
 
 
 @pytest.mark.parametrize("case", ["planted", "s3 x z20"])
@@ -742,21 +743,23 @@ def test_golden_alpha_beam_on_a_table_where_a_window_of_four_returns():
 
 @pytest.mark.parametrize("limit", [groups.EXHAUSTIVE_LIMIT, 0])
 def test_golden_alpha_beam_on_s4_reads_products_in_path_order(limit):
-    # frozen at the parent; on this A the beam's windows and products
-    # taken as (new letter) x (path) instead of (path) x (new letter)
-    # return other loops; S4 is one table factor, so it reads its table
-    # at either limit
+    # on this A the beam's windows and products taken as (new letter) x
+    # (path) instead of (path) x (new letter) return another loop at
+    # lambda 5/24 and a loop of weight 5/12 where the beam finds none at
+    # lambda 1/4; S4 is one table factor, so it reads its table at either
+    # limit
     s4 = make_from_table(symmetric_group_table(4)[0], "S4")
     d = pseudometric_from_set(s4, Subset.from_indices(s4, [0, 4, 6, 9, 10, 12, 13, 14, 15]))
     with mock.patch.object(groups, "EXHAUSTIVE_LIMIT", limit):
         for lam, want in ((Fraction(5, 24), (Fraction(1, 24), (2, 20, 18, 13, 18, 23))),
-                          (Fraction(1, 4), (Fraction(5, 12), (9, 23, 18, 18, 23, 9)))):
+                          (Fraction(1, 4), None)):
             assert _alpha_beam(SignContext(d, 0), lam, _loop_bounds(d, lam)[2], 0) == want
 
 
 def naive_alpha_beam(ctx, lam, n_max, seed):
     """The beam one restart after another, on tuples and scalar products,
-    each kept path drawing its letters with ``Generator.choice``.
+    each kept path drawing its letters by a scalar Floyd loop over 8 raw
+    words of its restart's PCG64.
 
     Returns the beam's result and, per restart, the first depth that left
     it no candidate (n_max + 1 when it ran to the end)."""
@@ -769,14 +772,14 @@ def naive_alpha_beam(ctx, lam, n_max, seed):
     rng_master = np.random.default_rng(seed)
     best, stops = None, []
     for _ in range(pseudometric.BEAM_RESTARTS):
-        rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
+        bitgen = np.random.default_rng(rng_master.integers(0, 2**63 - 1)).bit_generator
         beam = [((a,), a, weight[a]) for a in alphabet[:pseudometric.BEAM_WIDTH]]
         stop = n_max + 1
         for depth in range(2, n_max + 1):
             cands = []
             for path, p, t in beam:
                 picks = (range(len(alphabet)) if len(alphabet) <= 8
-                         else rng.choice(len(alphabet), 8, replace=False))
+                         else floyd_oracle(bitgen, 1, len(alphabet))[0])
                 for i in picks:
                     a = alphabet[int(i)]
                     w, ok = a, True
@@ -865,82 +868,38 @@ def test_alpha_exhaustive_stops_when_the_state_count_passes_the_cap(monkeypatch)
     assert len(calls) <= 4 * 1000
 
 
-# -- the beam's batched draws and the memoized product table ------------------
+# -- the beam's Floyd draws and the memoized product table --------------------
 
-PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def pcg64_emitting(word, earlier=0):
-    """A PCG64 whose output number earlier + 1 is the 64-bit ``word``.
-
-    An output is the XSL-RR of the stepped state (hi, lo), rotr64(hi ^ lo,
-    hi >> 58), so lo = rotl64(word, hi >> 58) ^ hi for any hi; the LCG is
-    then stepped back through the inverse of its multiplier."""
-    bitgen = np.random.PCG64(0)
-    st = bitgen.state
-    inc = st["state"]["inc"]
-    hi = 0x0123456789ABCDEF
-    rot = hi >> 58
-    lo = (((word << rot) | (word >> (64 - rot))) & (2**64 - 1)) ^ hi
-    state = (hi << 64) | lo
-    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
-    for _ in range(earlier + 1):
-        state = (state - inc) * inverse % 2**128
-    st["state"]["state"] = state
-    bitgen.state = st
-    return bitgen
+def floyd_oracle(bitgen, rows, n):
+    """Floyd's sampler one row and one word at a time."""
+    out = []
+    for _ in range(rows):
+        chosen = []
+        for k, word in enumerate(bitgen.random_raw(8).tolist()):
+            v = word % (n - 7 + k)
+            chosen.append(n - 8 + k if v in chosen else v)
+        out.append(chosen)
+    return out
 
 
-def choice_layers(make_bitgen, n, layers=(64, 61, 64)):
-    """The helper's consecutive layers next to a loop of Generator.choice
-    on an identical generator."""
-    rng = np.random.Generator(make_bitgen())
-    want = np.array([rng.choice(n, size=8, replace=False) for _ in range(sum(layers))])
-    bitgen, carry = make_bitgen(), []
-    got = np.concatenate([pseudometric._choice_rows([(bitgen, carry, rows)], n)
-                          for rows in layers])
-    return got, want
-
-
-@pytest.mark.parametrize("n", [9, 14, 20, 37, 100, 1000])
-def test_batched_draws_are_generator_choice(n):
-    # a layer of 61 rows takes 915 halves, so the next layer starts from
-    # the high half it left unread
+@pytest.mark.parametrize("n", [9, 14, 100, 1000])
+def test_floyd_positions_match_a_scalar_oracle(n):
     for seed in (0, 7):
-        got, want = choice_layers(lambda: np.random.PCG64(seed), n)
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("phase, word, earlier", [
-    ("floyd", 0xDEADBEEF00000000, 0),        # half 0: the first draw, range n - 7
-    ("shuffle", 0x00000000DEADBEEF, 4),      # half 9: the second swap, range 7
-])
-def test_batched_draws_redraw_a_rejected_half(phase, word, earlier):
-    # a half of 0 on range 7 is rejected, as 0 < (2^32 - 7) mod 7 = 4, and
-    # the draw takes the next half, so every later row shifts by one half
-    assert pcg64_emitting(word, earlier).random_raw(earlier + 1)[-1] == word
-    got, want = choice_layers(lambda: pcg64_emitting(word, earlier), 14)
-    assert np.array_equal(got, want)
-
-
-def test_batched_draws_of_several_streams_are_generator_choice():
-    # three streams of 64, 61 and 3 rows read as one batch, three layers
-    # running; the middle stream rejects a half in its first row, so its
-    # rows are redone one draw at a time while the others stay batched,
-    # and each stream carries its own unread half to the next layer
-    makers = [lambda: np.random.PCG64(3),
-              lambda: pcg64_emitting(0xDEADBEEF00000000),
-              lambda: np.random.PCG64(11)]
-    sizes = (64, 61, 3)
-    n = 14
-    rngs = [np.random.Generator(make()) for make in makers]
-    streams = [(make(), []) for make in makers]
-    for _layer in range(3):
-        want = np.array([rng.choice(n, size=8, replace=False)
-                         for rng, rows in zip(rngs, sizes) for _ in range(rows)])
-        got = pseudometric._choice_rows([(bitgen, carry, rows) for (bitgen, carry), rows
-                                         in zip(streams, sizes)], n)
-        assert np.array_equal(got, want)
+        got = pseudometric._floyd_positions([(np.random.PCG64(seed), 64)], n)
+        assert got.dtype == np.int64 and got.shape == (64, 8)
+        assert got.tolist() == floyd_oracle(np.random.PCG64(seed), 64, n)
+        assert all(len(set(row)) == 8 for row in got.tolist())
+        assert got.min() >= 0 and got.max() < n
+        # two consecutive calls read the words of one call of the summed rows
+        bitgen = np.random.PCG64(seed)
+        parts = [pseudometric._floyd_positions([(bitgen, rows)], n) for rows in (40, 24)]
+        assert np.array_equal(np.concatenate(parts), got)
+    # several streams in one call: each stream's rows in list order
+    seeds, sizes = (3, 11, 5), (64, 1, 30)
+    got = pseudometric._floyd_positions([(np.random.PCG64(s), k)
+                                         for s, k in zip(seeds, sizes)], n)
+    assert got.tolist() == [row for s, k in zip(seeds, sizes)
+                            for row in floyd_oracle(np.random.PCG64(s), k, n)]
 
 
 def test_linearity_scan_memory_stays_bounded():
