@@ -11,14 +11,15 @@ finite character family for the closest exact homomorphism.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .errors import (EmptyInput, NoCharacterWithinBound, NoStructureFound,
-                     PreconditionError, StageError)
+from .errors import (EmptyInput, KemplabError, NoCharacterWithinBound,
+                     NoStructureFound, PreconditionError, StageError)
 from .expansion import deficit
 from .fibers import (best_arc_fit, bohr_stability, fiber_profile, round_half_up,
                      structural_control)
@@ -364,6 +365,18 @@ def _require_near_target(work: Subset, target: Fraction, side: str):
                                    f"against a target of {target * n}")
 
 
+@contextmanager
+def _stage(name: str):
+    """Raise a library error from the block as StageError(name), with the
+    error as its ``__cause__``; a StageError passes unchanged."""
+    try:
+        yield
+    except StageError:
+        raise
+    except KemplabError as exc:
+        raise StageError(name, f"{type(exc).__name__}: {exc}") from exc
+
+
 def inverse_pipeline(g_model: GroupModel, a: Subset, b: Subset, delta,
                      config: Optional[PipelineConfig] = None) -> FitResult:
     """Recover a character and arcs from a nearly minimal pair.
@@ -373,135 +386,148 @@ def inverse_pipeline(g_model: GroupModel, a: Subset, b: Subset, delta,
     the denoiser); pseudometric; linearity and path monotonicity fits;
     loop weight unit; almost homomorphism; character snap; projection
     smallness guard; structural control, lifted to the original pair by
-    Bohr-set stability when shrinking happened.
+    Bohr-set stability when shrinking happened.  A library error inside
+    a stage is raised as that stage's StageError, with the error as its
+    ``__cause__``.
     """
     config = (config or PipelineConfig()).normalized()
     delta = Fraction(delta)
     diag: dict = {"delta_rel": delta, "seed": config.seed}
     n = g_model.order
 
-    base = deficit(g_model, a, b)
-    if not base.nearly_minimal(delta):
-        raise StageError("near-minimality guard",
-                         f"pair is not {delta}-nearly minimally expanding")
-    delta_abs = _grid_bump(base.excess, n)
-    diag["delta_abs"] = delta_abs
+    with _stage("near-minimality guard"):
+        base = deficit(g_model, a, b)
+        if not base.nearly_minimal(delta):
+            raise StageError("near-minimality guard",
+                             f"pair is not {delta}-nearly minimally expanding")
+        delta_abs = _grid_bump(base.excess, n)
+        diag["delta_abs"] = delta_abs
 
     # stage (i): shrink / denoise
-    target = config.shrink_target
-    if target is None:
-        target = min(a.measure(), b.measure(), Fraction(1, 12))
-    shrunk = target < min(a.measure(), b.measure())
-    if shrunk:
-        a3, gamma_abs_a, clean_a = _denoise(g_model, a, b, target, "left")
-        _require_near_target(a3, target, "a")
-        b3, gamma_abs_b, clean_b = _denoise(g_model, b, a3, target, "right")
-        _require_near_target(b3, target, "b")
-        diag["shrink"] = {"target": target,
-                          "mu_a3": a3.measure(), "mu_b3": b3.measure(),
-                          "gamma_abs_bound": max(gamma_abs_a, gamma_abs_b),
-                          "clean": clean_a and clean_b}
-    else:
-        a3, b3 = a, b
-        diag["shrink"] = None
+    with _stage("shrink"):
+        target = config.shrink_target
+        if target is None:
+            target = min(a.measure(), b.measure(), Fraction(1, 12))
+        shrunk = target < min(a.measure(), b.measure())
+        if shrunk:
+            a3, gamma_abs_a, clean_a = _denoise(g_model, a, b, target, "left")
+            _require_near_target(a3, target, "a")
+            b3, gamma_abs_b, clean_b = _denoise(g_model, b, a3, target, "right")
+            _require_near_target(b3, target, "b")
+            diag["shrink"] = {"target": target,
+                              "mu_a3": a3.measure(), "mu_b3": b3.measure(),
+                              "gamma_abs_bound": max(gamma_abs_a, gamma_abs_b),
+                              "clean": clean_a and clean_b}
+        else:
+            a3, b3 = a, b
+            diag["shrink"] = None
 
     # stage (ii): pseudometric on the working set
-    table = pseudometric_from_set(g_model, a3)
-    diag["rho"] = table.radius
+    with _stage("pseudometric"):
+        table = pseudometric_from_set(g_model, a3)
+        diag["rho"] = table.radius
 
     # stage (iii): gamma fit + path monotonicity
-    lin = gamma_linearity(table, 0)
-    gamma = Fraction(0) if lin.holds else lin.worst_violation
-    if config.gamma_policy == "exact" and not lin.holds:
-        raise StageError("linearity fit",
-                         f"working set is not exactly linear (worst {lin.worst_violation})")
-    mono = path_monotone_check(table, gamma)
-    if not mono.conclusion_ok:
-        raise StageError("monotonicity", "8 gamma-monotonicity failed on the working set")
-    diag["gamma"] = gamma
-    diag["path_hypotheses_ok"] = mono.hypotheses_ok
+    with _stage("linearity fit"):
+        lin = gamma_linearity(table, 0)
+        gamma = Fraction(0) if lin.holds else lin.worst_violation
+        if config.gamma_policy == "exact" and not lin.holds:
+            raise StageError("linearity fit",
+                             f"working set is not exactly linear (worst {lin.worst_violation})")
+    with _stage("monotonicity"):
+        mono = path_monotone_check(table, gamma)
+        if not mono.conclusion_ok:
+            raise StageError("monotonicity", "8 gamma-monotonicity failed on the working set")
+        diag["gamma"] = gamma
+        diag["path_hypotheses_ok"] = mono.hypotheses_ok
 
     # stage (iv): loop weight unit
-    lam = config.lam if config.lam is not None else _auto_lambda(table, g_model)
-    diag["lambda"] = lam
-    ball_size = table.ball_indices(lam).size
-    mode = config.alpha_mode
-    if mode == "auto":
-        mode = "exhaustive" if n * ball_size ** 3 <= 200_000 else "beam"
-    alpha_res = alpha_lambda(table, lam, gamma, mode=mode, seed=config.seed)
-    diag["alpha"] = alpha_res.alpha
-    diag["alpha_bounds"] = (alpha_res.lower, alpha_res.upper)
-    diag["alpha_mode"] = mode
+    with _stage("loop weight unit"):
+        lam = config.lam if config.lam is not None else _auto_lambda(table, g_model)
+        diag["lambda"] = lam
+        ball_size = table.ball_indices(lam).size
+        mode = config.alpha_mode
+        if mode == "auto":
+            mode = "exhaustive" if n * ball_size ** 3 <= 200_000 else "beam"
+        alpha_res = alpha_lambda(table, lam, gamma, mode=mode, seed=config.seed)
+        diag["alpha"] = alpha_res.alpha
+        diag["alpha_bounds"] = (alpha_res.lower, alpha_res.upper)
+        diag["alpha_mode"] = mode
 
     # stage (v): almost homomorphism
-    hom = almost_hom(table, lam, gamma, alpha_result=alpha_res)
-    diag["q"] = hom.q
-    diag["hom_clauses_ok"] = (hom.totality_ok, hom.identity_ok,
-                              hom.additive_defect_ok, hom.spread_ok)
-    if not hom.additive_defect_ok:
-        raise StageError("almost hom", f"additive defect {hom.q} >= alpha/200")
-    if not hom.spread_ok:
-        raise StageError("almost hom", "value spread below alpha/3; no usable character")
+    with _stage("almost hom"):
+        hom = almost_hom(table, lam, gamma, alpha_result=alpha_res)
+        diag["q"] = hom.q
+        diag["hom_clauses_ok"] = (hom.totality_ok, hom.identity_ok,
+                                  hom.additive_defect_ok, hom.spread_ok)
+        if not hom.additive_defect_ok:
+            raise StageError("almost hom", f"additive defect {hom.q} >= alpha/200")
+        if not hom.spread_ok:
+            raise StageError("almost hom", "value spread below alpha/3; no usable character")
 
     # stage (vi): snap
-    chi, snap_dist = snap_to_character(g_model, hom, config.target_modulus)
-    diag["snap_distance"] = snap_dist
-    kn_ok, kn_witness = kernel_norm_check(table, chi, lam)
-    diag["kernel_norm_ok"] = kn_ok
-    if not kn_ok:
-        raise StageError("kernel norm", f"witness {kn_witness} violates 2 lambda/3")
+    with _stage("snap"):
+        chi, snap_dist = snap_to_character(g_model, hom, config.target_modulus)
+        diag["snap_distance"] = snap_dist
+    with _stage("kernel norm"):
+        kn_ok, kn_witness = kernel_norm_check(table, chi, lam)
+        diag["kernel_norm_ok"] = kn_ok
+        if not kn_ok:
+            raise StageError("kernel norm", f"witness {kn_witness} violates 2 lambda/3")
 
     # stage (vii): projection smallness on the working pair
-    m = chi.modulus
-    img_a = Fraction(len(np.unique(chi.image[a3.indices()])), m)
-    img_b = Fraction(len(np.unique(chi.image[b3.indices()])), m)
-    if not img_a + img_b < Fraction(1, 5):
-        raise StageError("projection smallness",
-                         f"mu(chi(A3)) + mu(chi(B3)) = {img_a + img_b} >= 1/5")
+    with _stage("projection smallness"):
+        m = chi.modulus
+        img_a = Fraction(len(np.unique(chi.image[a3.indices()])), m)
+        img_b = Fraction(len(np.unique(chi.image[b3.indices()])), m)
+        if not img_a + img_b < Fraction(1, 5):
+            raise StageError("projection smallness",
+                             f"mu(chi(A3)) + mu(chi(B3)) = {img_a + img_b} >= 1/5")
 
     # stage (viii): structural control + lift
-    work_excess = deficit(g_model, a3, b3).excess
-    delta3 = _grid_bump(work_excess, n)
-    arc_a3, arc_b3, gap_a3, gap_b3, certified3 = structural_control(
-        g_model, chi, a3, b3, delta3)
-    diag["working_gaps"] = (gap_a3, gap_b3)
-    diag["working_certified"] = certified3
+    with _stage("structural control"):
+        work_excess = deficit(g_model, a3, b3).excess
+        delta3 = _grid_bump(work_excess, n)
+        arc_a3, arc_b3, gap_a3, gap_b3, certified3 = structural_control(
+            g_model, chi, a3, b3, delta3)
+        diag["working_gaps"] = (gap_a3, gap_b3)
+        diag["working_certified"] = certified3
 
-    if not shrunk:
-        arc_a_final, arc_b_final, eps_a, eps_b = arc_a3, arc_b3, gap_a3, gap_b3
-    else:
-        # Final arcs: the forced-length gap minimizer on the originals
-        # (exactly the construction the stability lemmas certify).  The
-        # lemma-certified lift runs when its hypotheses fit the grid;
-        # its 30*delta smallness clauses often cannot hold at desk
-        # scale, so the unmet hypothesis is recorded, never fudged.
-        arc_a_final, cnt_a = best_arc_fit(
-            g_model, chi, a, round_half_up(a.measure() * chi.modulus))
-        arc_b_final, cnt_b = best_arc_fit(
-            g_model, chi, b, round_half_up(b.measure() * chi.modulus))
-        eps_a, eps_b = g_model.measure(cnt_a), g_model.measure(cnt_b)
-        lift = {}
-        for name, big, small, small_arc, small_gap in (
-                ("a", a, b3, arc_b3, gap_b3), ("b", b, a3, arc_a3, gap_a3)):
-            ex = deficit(g_model, big, small).excess
-            delta_lift = max(ex, Fraction(0))
-            if delta_lift == 0 and small_gap > 0:
-                delta_lift = Fraction(1, n)
-            kappa = small_gap / delta_lift if delta_lift > 0 else Fraction(0)
-            try:
-                _, lift_gap, cert = bohr_stability(
-                    g_model, chi, big, small, small_arc, kappa, delta_lift)
-                lift[name] = ("certified" if cert else "uncertified", lift_gap)
-            except PreconditionError as exc:
-                lift[name] = ("hypothesis unmet", exc.name)
-        diag["stability_lift"] = lift
+        if not shrunk:
+            arc_a_final, arc_b_final, eps_a, eps_b = arc_a3, arc_b3, gap_a3, gap_b3
+        else:
+            # Final arcs: the forced-length gap minimizer on the originals
+            # (exactly the construction the stability lemmas certify).  The
+            # lemma-certified lift runs when its hypotheses fit the grid;
+            # its 30*delta smallness clauses often cannot hold at desk
+            # scale, so the unmet hypothesis is recorded, never fudged.
+            arc_a_final, cnt_a = best_arc_fit(
+                g_model, chi, a, round_half_up(a.measure() * chi.modulus))
+            arc_b_final, cnt_b = best_arc_fit(
+                g_model, chi, b, round_half_up(b.measure() * chi.modulus))
+            eps_a, eps_b = g_model.measure(cnt_a), g_model.measure(cnt_b)
+            lift = {}
+            for name, big, small, small_arc, small_gap in (
+                    ("a", a, b3, arc_b3, gap_b3), ("b", b, a3, arc_a3, gap_a3)):
+                ex = deficit(g_model, big, small).excess
+                delta_lift = max(ex, Fraction(0))
+                if delta_lift == 0 and small_gap > 0:
+                    delta_lift = Fraction(1, n)
+                kappa = small_gap / delta_lift if delta_lift > 0 else Fraction(0)
+                try:
+                    _, lift_gap, cert = bohr_stability(
+                        g_model, chi, big, small, small_arc, kappa, delta_lift)
+                    lift[name] = ("certified" if cert else "uncertified", lift_gap)
+                except PreconditionError as exc:
+                    lift[name] = ("hypothesis unmet", exc.name)
+            diag["stability_lift"] = lift
 
-    pre_a = bohr_preimage(g_model, chi, arc_a_final)
-    pre_b = bohr_preimage(g_model, chi, arc_b_final)
-    return FitResult(chi, arc_a_final, arc_b_final, eps_a, eps_b,
-                     contained_a=a.difference(pre_a).size == 0,
-                     contained_b=b.difference(pre_b).size == 0,
-                     diagnostics=diag)
+        pre_a = bohr_preimage(g_model, chi, arc_a_final)
+        pre_b = bohr_preimage(g_model, chi, arc_b_final)
+        return FitResult(chi, arc_a_final, arc_b_final, eps_a, eps_b,
+                         contained_a=a.difference(pre_a).size == 0,
+                         contained_b=b.difference(pre_b).size == 0,
+                         diagnostics=diag)
 
 
 # -- fiberwise rigidity ------------------------------------------------------
@@ -522,15 +548,14 @@ def _fibers(g_model: GroupModel, h: Subgroup, s: Subset, side: str,
             zh: GroupModel, log: np.ndarray) -> dict:
     """S's fibers along H as subsets of zh = Z_|H|, where log[h^k] = k: x =
     rep h^k (left cosets) or h^k rep (right) lands at k.  Keyed by coset id,
-    in order of each coset's first member of S."""
+    ascending."""
     cid, reps = coset_partition(g_model, h, side)
     idx = s.indices()
     inv_rep = g_model.inv_vec(reps[cid[idx]])
     rel = g_model.mul_arr(inv_rep, idx) if side == "left" else g_model.mul_arr(idx, inv_rep)
     rows = np.zeros((len(reps), h.order), dtype=bool)
     rows[cid[idx], log[rel]] = True
-    ids, first = np.unique(cid[idx], return_index=True)
-    return {int(c): Subset.from_members(zh, rows[c]) for c in ids[np.argsort(first)]}
+    return {int(c): Subset.from_members(zh, rows[c]) for c in np.unique(cid[idx])}
 
 
 def _concentration(counts: np.ndarray, keep_mass: Fraction):

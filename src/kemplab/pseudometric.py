@@ -703,72 +703,96 @@ def _power_loop_candidates(ctx: SignContext, lam: Fraction, n_max: int):
     return out
 
 
-def _alpha_exhaustive(ctx: SignContext, lam: Fraction, n_max: int):
-    """Layered sweep over (product, suffix<=3, signed weight) states.
+def _extend(d: PseudometricTable, cut: int, tail: np.ndarray, letters: np.ndarray):
+    """One layer of both alpha searches.  Column j - 1 of ``tail``
+    (rows, k), k <= 3, holds p_j, the product of a row's last j letters;
+    each row's word is extended by each of its ``letters`` ((rows, m),
+    or (m,) for every row) whose windows p_j a all leave N(lambda)
+    (``cut`` = ``d.cut(lambda)``).  Returns the kept (row, column)
+    indices in row-major order and their tails (a, p_1 a, p_2 a)."""
+    letters = np.broadcast_to(letters, (len(tail), letters.shape[-1]))
+    windows = [letters] + [d.group.mul_arr(p[:, None], letters) for p in tail.T]
+    rows, cols = np.nonzero(np.logical_and.reduce([d.norm_num[w] > cut for w in windows[1:]]))
+    return rows, cols, np.stack([w[rows, cols] for w in windows[:3]], axis=1)
 
-    Irreducibility only constrains windows of length <= 4, so the last
-    three entries plus the running product and signed weight are a
-    complete state.  States are counted as they are created; the sweep
-    stops, incomplete, as soon as the count passes ALPHA_STATE_CAP.
-    Returns ((abs weight numerator, witness_entries) or None, complete).
+
+def _least_loop(best, links, rows, letters, nt, loops, den: int):
+    """The least of ``best`` and the (|t|, word) of the candidate ``loops``,
+    which share one |t| numerator over ``den``; candidate i extends row
+    ``rows[i]`` of the last layer of ``links`` (each layer's (parent row,
+    letter) arrays) by ``letters[i]``, read back only to beat best."""
+    t = Fraction(abs(int(nt[loops[0]])), den)
+    if best is not None and t > best[0]:
+        return best
+    for i in loops:
+        word, row = [int(letters[i])], rows[i]
+        for parent, layer in reversed(links):
+            word.append(int(layer[row]))
+            row = parent[row]
+        key = (t, tuple(reversed(word)))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _first_rows(columns) -> np.ndarray:
+    """Ascending indices of each distinct row's first occurrence, a row
+    read across ``columns`` (int64 arrays) as one mixed-radix int64 key;
+    a key or column too wide for int64 is renumbered densely first."""
+    key, span = 0, 1
+    for col in columns:
+        lo = int(col.min())
+        width = int(col.max()) - lo + 1
+        if span * width >= 2**63:
+            key, span = np.unique(key, return_inverse=True)[1], col.size
+        if span * width >= 2**63:
+            col, lo, width = np.unique(col, return_inverse=True)[1], 0, col.size
+        key, span = key * width + (col - lo), span * width
+    return np.sort(np.unique(key, return_index=True)[1])
+
+
+def _alpha_exhaustive(ctx: SignContext, lam: Fraction, n_max: int):
+    """Layered sweep over every irreducible word, one row per state.
+
+    A word's tail (p_1, p_2, p_3), product and signed weight t are a
+    complete state, since irreducibility only constrains windows of
+    length <= 4.  A layer extends every row by every letter (``_extend``;
+    at most L times the previous layer's rows, L letters) and keeps each
+    state's first row, its least word, as rows run in word order; the
+    witness is the least (|t|, word) over the identity-product loops, as
+    in ``_alpha_beam``.  Kept rows are counted after each layer, and the
+    sweep stops, incomplete, once they pass ALPHA_STATE_CAP.
+    Returns ((|t|, witness entries) or None, complete).
     """
     d = ctx.d
     g = d.group
     alphabet, weight = _letters(ctx, lam)
+    alphabet = np.array(alphabet, dtype=np.int64)
+    signed = np.array([weight[a] for a in alphabet.tolist()], dtype=np.int64)
+    if n_max * int(np.abs(signed).max()) >= 2**63:
+        raise PreconditionError("loop weights", "loop weights overflow int64")
     cut = d.cut(lam)
-    best = None          # (abs weight numerator, entries tuple)
-    start = {(a, (a,)): {weight[a]: (None, None, a)} for a in alphabet}
-    layers = [start]
-    states = start
-    total_states = len(start)
-    for depth in range(2, n_max + 1):
-        nxt = {}
-        for (prod, suffix), tmap in states.items():
-            for a in alphabet:
-                # windows ending at the new entry must leave the ball
-                if _window_in_ball(d, cut, suffix, a):
-                    continue
-                new_prod = g.mul(prod, a)
-                new_suffix = (suffix + (a,))[-3:]
-                contrib = weight[a]
-                cell = nxt.setdefault((new_prod, new_suffix), {})
-                for t, _meta in tmap.items():
-                    nt = t + contrib
-                    if nt not in cell:
-                        cell[nt] = ((prod, suffix), t, a)
-                        total_states += 1
-                if new_prod == g.identity:
-                    for t in tmap:
-                        nt = t + contrib
-                        cand = abs(nt)
-                        if best is None or cand < best[0]:
-                            entries = _reconstruct(layers, depth - 1,
-                                                   ((prod, suffix), t, a))
-                            best = (cand, entries)
-                if total_states > ALPHA_STATE_CAP:
-                    return best, False
-        layers.append(nxt)
-        states = nxt
-        if not states:
+    tail, prod, t = alphabet[:, None], alphabet, signed
+    links = [(np.full(alphabet.size, -1), alphabet)]
+    kept, best = alphabet.size, None
+    for _depth in range(2, n_max + 1):
+        if kept > ALPHA_STATE_CAP:
+            return best, False
+        rows, cols, tail = _extend(d, cut, tail, alphabet)
+        if rows.size == 0:
             break
+        a = tail[:, 0]
+        prod, t = g.mul_arr(prod[rows], a), t[rows] + signed[cols]
+        loops = np.flatnonzero(prod == g.identity)
+        if loops.size:
+            # candidates run in word order: the first of least |t| is least
+            least = loops[[np.argmin(np.abs(t[loops]))]]
+            best = _least_loop(best, links, rows, a, t, least, d.den)
+        first = _first_rows([prod, *tail.T, t])
+        links.append((rows[first], a[first]))
+        tail, prod, t = tail[first], prod[first], t[first]
+        kept += first.size
     return best, True
-
-
-def _reconstruct(layers, prev_depth, meta):
-    (state, t, a) = meta
-    entries = [a]
-    depth = prev_depth
-    while state is not None:
-        cell = layers[depth - 1][state]
-        prev_state, prev_t, prev_a = cell[t]
-        entries.append(state[1][-1])
-        if prev_state is None:
-            break
-        # walk backwards through the recorded parents
-        state, t = prev_state, prev_t
-        depth -= 1
-    entries.reverse()
-    return tuple(entries)
 
 
 def _floyd_positions(streams, n: int) -> np.ndarray:
@@ -792,96 +816,79 @@ def _floyd_positions(streams, n: int) -> np.ndarray:
 def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
     """Seeded beam search; the result is a certified upper bound.
 
-    Each of BEAM_RESTARTS restarts extends, at each depth, every kept
-    path by 8 letters drawn without replacement (the whole alphabet when
-    it has at most 8) and keeps the BEAM_WIDTH candidates of least
-    |t| + 2 ||product||, ties broken by the path tuple; a restart stops
-    at the first depth that leaves it no candidate.  The restarts run as
-    one batch: a layer is held as arrays over the rows of every live
-    restart, grouped by restart and in beam order within a group:
-    ``paths`` (rows x depth), ``prod``, the signed weights ``t``,
-    ``restart`` and ``rank``, which orders the paths of one restart
-    lexicographically.  Candidate paths of a restart are distinct and of
-    one length, so their tuple order is the order of (parent rank,
-    letter).  Weights are exact int64 numerators.  The result is the
-    least (|t|, path) over the identity-product candidates of every
-    restart and depth.
-
+    Each restart extends, at each depth, every kept word by 8 letters
+    drawn without replacement and keeps the BEAM_WIDTH candidates of
+    least |t| + 2 ||product||, ties broken by the word tuple; a restart
+    stops at the first depth that leaves it no candidate.  BEAM_RESTARTS
+    restarts run, or one when the alphabet has at most 8 letters: every
+    word then takes every letter, so other restarts would repeat it.
     Restart r seeds ``default_rng(rng_master.integers(0, 2**63 - 1))``
-    (the seeds drawn in restart order), and each kept path, in beam
-    order, takes the 8 letter positions that Floyd's algorithm draws on
-    that generator's PCG64 (``_floyd_positions``, one call per depth
-    for every live restart): one raw 64-bit word per step, step
-    k = 0..7 taking word_k mod (n - 7 + k), n the alphabet size, or
-    n - 8 + k when that position is already chosen.  The candidates are
-    ranked, not read in draw order, so no shuffle follows, and the
-    modulo bias (at most n / 2^64) cannot touch a bound its witness
-    certifies.  PCG64's raw output, not numpy's sampler, fixes every
-    seeded witness.
-    Windows and products are ``mul_arr`` products.
+    (seeds drawn in restart order), and each kept word, in beam order,
+    takes the 8 letter positions that Floyd's algorithm draws on that
+    generator's raw PCG64 words (``_floyd_positions``, one call per
+    depth for every live restart).  The candidates are ranked, not read
+    in draw order, and the modulo bias (at most n / 2^64, n letters)
+    cannot touch a bound its witness certifies.
+
+    The restarts run as one batch of the layer rows of
+    ``_alpha_exhaustive``, grouped by restart and in beam order within
+    a group; ``rank`` orders the words of one restart lexicographically,
+    and a restart's candidates are distinct words of one length, so
+    their tuple order is that of (parent rank, letter).  The result is
+    the least (|t|, word) over every identity-product candidate, in
+    exact int64 weights.
     """
     d = ctx.d
     g = d.group
     norms = d.norm_num
+    letters, weight = _letters(ctx, lam)
+    n_letters = len(letters)
+    restarts = 1 if n_letters <= 8 else BEAM_RESTARTS
     rng_master = np.random.default_rng(seed)
     bitgens = [np.random.default_rng(rng_master.integers(0, 2**63 - 1)).bit_generator
-               for _ in range(BEAM_RESTARTS)]
-    letters, weight = _letters(ctx, lam)
+               for _ in range(restarts)]
     alphabet = np.array(sorted(letters, key=lambda a: (-norms.item(a), a)), dtype=np.int64)
     signed = np.array([weight[a] for a in alphabet.tolist()], dtype=np.int64)
     # the largest score: n_max letters of weight at most max|s|, plus 2 rho
     if n_max * int(np.abs(signed).max()) + 2 * d.radius_num >= 2**63:
         raise PreconditionError("beam weights", "loop weights overflow int64")
     cut = d.cut(lam)
-    n_letters = len(alphabet)
     width = min(BEAM_WIDTH, n_letters)
-    restart = np.repeat(np.arange(BEAM_RESTARTS), width)
-    paths = np.tile(alphabet[:width], BEAM_RESTARTS)[:, None]
-    prod, t = paths[:, 0], np.tile(signed[:width], BEAM_RESTARTS)
+    restart = np.repeat(np.arange(restarts), width)
+    prod, t = np.tile(alphabet[:width], restarts), np.tile(signed[:width], restarts)
+    tail, links = prod[:, None], [(np.full(prod.size, -1), prod)]
     rank = np.argsort(np.argsort(prod))
     best = None
     for _depth in range(2, n_max + 1):
         if n_letters <= 8:
-            pick = np.broadcast_to(np.arange(n_letters), (len(paths), n_letters))
+            pick = np.broadcast_to(np.arange(n_letters), (prod.size, n_letters))
         else:
             live, counts = np.unique(restart, return_counts=True)
             pick = _floyd_positions([(bitgens[r], k) for r, k in
                                      zip(live.tolist(), counts.tolist())], n_letters)
-        cand = alphabet[pick]
-        # windows of length 2..4 ending at the new letter leave the ball
-        ok = np.ones(cand.shape, dtype=bool)
-        w = cand
-        for k in range(1, min(paths.shape[1], 3) + 1):
-            w = g.mul_arr(paths[:, -k, None], w)
-            ok &= norms[w] > cut
-        rows, cols = np.nonzero(ok)
+        rows, cols, tail = _extend(d, cut, tail, alphabet[pick])
         if rows.size == 0:
             break
-        a = cand[rows, cols]
+        a = tail[:, 0]
         new_prod = g.mul_arr(prod[rows], a)
         nt = t[rows] + signed[pick[rows, cols]]
         lex = rank[rows] * g.order + a
         group = restart[rows]
         loops = np.flatnonzero(new_prod == g.identity)
         if loops.size:
-            # the loops of least |t|; each restart's least path, then tuples
+            # the loops of least |t|; each restart's least word, then tuples
             loops = loops[np.abs(nt[loops]) == np.abs(nt[loops]).min()]
             loops = loops[np.lexsort((lex[loops], group[loops]))]
-            firsts = loops[np.unique(group[loops], return_index=True)[1]]
-            key = min((abs(int(nt[i])), tuple(paths[rows[i]].tolist()) + (int(a[i]),))
-                      for i in firsts)
-            if best is None or key < best:
-                best = key
+            best = _least_loop(best, links, rows, a, nt,
+                               loops[np.unique(group[loops], return_index=True)[1]], d.den)
         # each restart's first BEAM_WIDTH in (score, lex) order
         order = np.lexsort((lex, np.abs(nt) + 2 * norms[new_prod], group))
         ordered = group[order]
         keep = order[np.arange(order.size) - np.searchsorted(ordered, ordered) < BEAM_WIDTH]
-        paths = np.concatenate([paths[rows[keep]], a[keep, None]], axis=1)
-        prod, t, restart = new_prod[keep], nt[keep], group[keep]
+        links.append((rows[keep], a[keep]))
+        tail, prod, t, restart = tail[keep], new_prod[keep], nt[keep], group[keep]
         rank = np.argsort(np.argsort(lex[keep]))
-    if best is None:
-        return None
-    return (Fraction(best[0], d.den), best[1])
+    return best
 
 
 def alpha_lambda(d: PseudometricTable, lam, gamma, mode: str = "exhaustive",
@@ -905,16 +912,13 @@ def alpha_lambda(d: PseudometricTable, lam, gamma, mode: str = "exhaustive",
     candidates = _power_loop_candidates(ctx, lam, n_max)
     complete = False
     if mode == "exhaustive":
-        best, complete = _alpha_exhaustive(ctx, lam, n_max)
-        if best is not None:
-            candidates.append((Fraction(best[0], d.den),
-                               LambdaSequence.build(d, lam, best[1])))
+        found, complete = _alpha_exhaustive(ctx, lam, n_max)
     elif mode == "beam":
         found = _alpha_beam(ctx, lam, n_max, seed)
-        if found is not None:
-            candidates.append((found[0], LambdaSequence.build(d, lam, found[1])))
     else:
         raise PreconditionError("mode", "mode must be exhaustive or beam")
+    if found is not None:
+        candidates.append((found[0], LambdaSequence.build(d, lam, found[1])))
 
     if not candidates:
         raise EmptyInput("S_lambda empty within the length bound")

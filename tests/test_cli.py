@@ -94,6 +94,23 @@ def test_cmd_pipeline_exact(planted_files, capsys):
     assert out["arc_a"]["length"] == 10 and out["arc_b"]["length"] == 12
 
 
+def test_cmd_pipeline_names_the_stage_of_a_library_error(tmp_path, capsys):
+    # a planted pair on Z24 x Z24 whose working arcs span 2 cells, too
+    # coarse for a sign reference: the verdict exit code, with the stage
+    # and the library error named
+    g = make_product(make_cyclic(24), make_cyclic(24))
+    chi = np.arange(576) // 24 + np.arange(576) % 24      # chi(x, y) = x + y
+    save_group(str(tmp_path / "g.group"), g)
+    for name, m in (("a", 5), ("b", 6)):
+        save_subset(str(tmp_path / name), Subset.from_indices(g, np.flatnonzero(chi % 24 < m)))
+    code = main(["pipeline", "--group", str(tmp_path / "g.group"),
+                 "--set-a", str(tmp_path / "a"), "--set-b", str(tmp_path / "b"),
+                 "--delta", "1/10", "--target-modulus", "24"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "StageError: pipeline stage 'loop weight unit' failed: MinimumResolution: ")
+
+
 def test_cmd_suite_and_exit_codes(tmp_path, capsys):
     assert main(["suite", "--suite", "kneser"]) == 0
     capsys.readouterr()

@@ -17,8 +17,8 @@ from kemplab import (AlmostHom, AlphaResult, Arc, FiberRigidityReport,
                      loop_quantization_check, make_cyclic, make_from_table,
                      make_product, pseudometric, pseudometric_from_set,
                      snap_to_character, symmetric_group_table)
-from kemplab.errors import (EmptyInput, NoCharacterWithinBound, NoStructureFound,
-                            PreconditionError, StageError)
+from kemplab.errors import (EmptyInput, MinimumResolution, NoCharacterWithinBound,
+                            NoStructureFound, PreconditionError, StageError)
 from kemplab.groups import (Character, cayley_bfs, cayley_word, coset_partition,
                             distinct_cyclic_subgroups, powers, subgroup_from_members)
 from kemplab import homextract
@@ -305,6 +305,31 @@ def test_pipeline_denoise_fault_names_shrink_stage():
     assert "side a" in str(exc.value) and "4 cells against a target of 20" in str(exc.value)
 
 
+def planted_two_cell_pairs():
+    """Exact planted pairs whose working arcs span 2 cells of the circle,
+    too coarse for a sign reference: (model, A, B, config)."""
+    z24 = make_product(make_cyclic(24), make_cyclic(24))
+    chi = np.arange(576) // 24 + np.arange(576) % 24      # chi(x, y) = x + y
+    z20 = make_product(make_cyclic(20), make_cyclic(12))
+    return [(z24, Subset.from_indices(z24, np.flatnonzero(chi % 24 < 5)),
+             Subset.from_indices(z24, np.flatnonzero(chi % 24 < 6)),
+             PipelineConfig(target_modulus=24)),
+            (z20, Subset.from_indices(z20, range(48)), Subset.from_indices(z20, range(60)),
+             PipelineConfig(shrink_target=Fraction(1, 10)))]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["z24 x z24 diagonal", "z20 x z12 shrunk"])
+def test_pipeline_names_the_stage_of_a_library_error(case):
+    # the loop weight unit finds N(rho/4 - gamma) \ N(4 gamma) empty; its
+    # MinimumResolution is raised as that stage's StageError
+    g, a, b, config = planted_two_cell_pairs()[case]
+    with pytest.raises(StageError) as exc:
+        inverse_pipeline(g, a, b, Fraction(1, 10), config)
+    assert exc.value.stage == "loop weight unit"
+    assert isinstance(exc.value.__cause__, MinimumResolution)
+    assert "no sign reference exists" in str(exc.value)
+
+
 def test_golden_fiberwise_rigidity_demo_instance():
     # demo 02's planted pair along <(1, 0)>, then with two cells of A dropped
     g, chi, a, b = planted()
@@ -438,17 +463,13 @@ def test_rigidity_report_matches_the_oracle(kind, data):
                            c=Fraction(1)) == expect
 
 
-def test_rigidity_report_keeps_cosets_in_order_of_first_member():
+def test_rigidity_report_matches_the_oracle_on_cosets_out_of_member_order():
     # Z24 along <6>: A's first members in each coset, 1, 3, 12 and 20, lie
     # in cosets 1, 3, 0 and 2
     g = make_cyclic(24)
     h = cyclic_subgroup(g, 6)
     a = Subset.from_indices(g, [1, 12, 18, 3, 20, 9])
     b = Subset.from_indices(g, [5, 6, 2, 11, 0])
-    zh = make_cyclic(h.order)
-    log = np.zeros(24, dtype=np.int64)
-    log[powers(g, 6)] = np.arange(h.order)
-    assert list(homextract._fibers(g, h, a, "left", zh, log)) == [1, 3, 0, 2]
     for delta in (Fraction(1, 240), Fraction(1, 2)):
         assert fiberwise_rigidity_report(g, h, a, b, delta, c=Fraction(1)) == \
             rigidity_oracle(g, h, a, b, delta, c=Fraction(1))

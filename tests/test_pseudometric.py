@@ -568,7 +568,7 @@ def test_golden_alpha_searches_noisy_arc():
     lam = Fraction(3, 200)
     n_max = _loop_bounds(d, lam)[2]
     assert n_max == 114
-    assert _alpha_exhaustive(ctx, lam, n_max) == ((0, (2,) + (3,) * 66), True)
+    assert _alpha_exhaustive(ctx, lam, n_max) == ((0, (1, 3) * 50), True)
 
     z, d, gamma = noisy_arc(3000, 1462)
     res = alpha_lambda(d, Fraction(89, 3000), gamma, mode="beam", seed=1)
@@ -852,20 +852,91 @@ def test_alpha_beam_weights_are_exact_up_to_the_int64_guard():
 
 def test_alpha_exhaustive_stops_when_the_state_count_passes_the_cap(monkeypatch):
     # the noisy Z400 arc at gamma = 2/400, lambda = 9/400 (18 letters)
-    # outgrows the cap: a sweep that finishes the layer passing a cap of
-    # 1,000 makes 12,204 window checks, one that stops as the count
-    # passes the cap makes 3,027
+    # outgrows a cap of 1,000 kept rows; the sweep calls _extend once per
+    # layer, never on a layer that brought the count past the cap, and
+    # stops at the first such layer
     z, d, gamma = noisy_arc(400, 185)
     ctx = SignContext(d, gamma)
     lam = Fraction(9, 400)
-    calls = []
-    window = pseudometric._window_in_ball
-    monkeypatch.setattr(pseudometric, "ALPHA_STATE_CAP", 1000)
-    monkeypatch.setattr(pseudometric, "_window_in_ball",
-                        lambda *args: calls.append(1) or window(*args))
-    best, complete = _alpha_exhaustive(ctx, lam, _loop_bounds(d, lam)[2])
+    extend = pseudometric._extend
+
+    def layer_sizes(cap, n_max):
+        sizes = []
+
+        def counted(d, cut, tail, letters):
+            sizes.append(len(tail))
+            assert sum(sizes) <= cap
+            return extend(d, cut, tail, letters)
+        monkeypatch.setattr(pseudometric, "ALPHA_STATE_CAP", cap)
+        monkeypatch.setattr(pseudometric, "_extend", counted)
+        return _alpha_exhaustive(ctx, lam, n_max), sizes
+
+    (best, complete), sizes = layer_sizes(1000, _loop_bounds(d, lam)[2])
     assert not complete
-    assert len(calls) <= 4 * 1000
+    assert sizes == [18, 90, 570]
+    # the same sweep without the cap, one layer further, reads the layer
+    # the capped sweep stopped at
+    (_, complete), full = layer_sizes(10**9, len(sizes) + 2)
+    assert complete and full[:-1] == sizes
+    assert sum(full) > 1000
+
+
+@pytest.mark.parametrize("scale", [1, 2**40, 2**61])
+def test_first_rows_keeps_the_first_of_each_distinct_row(scale):
+    # at 2^40 the mixed-radix key is renumbered before it overflows; at
+    # 2^61 a column's own range passes 2^63 and is renumbered too
+    rng = np.random.default_rng(0)
+    columns = [rng.integers(-3, 4, 400) * scale for _ in range(5)]
+    first = {}
+    for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+        first.setdefault(row, i)
+    assert pseudometric._first_rows(columns).tolist() == sorted(first.values())
+
+
+def least_loop_by_depth_first_search(ctx, lam, n_max):
+    """The least (|t|, word) over the irreducible identity-product loops
+    of 2..n_max letters, enumerated depth first on scalar products."""
+    d = ctx.d
+    g = d.group
+    norms = d.norm_num.tolist()
+    cut = d.cut(lam)
+    letters = [x for x in range(g.order) if norms[x] <= cut and x != g.identity]
+    weight = {a: relative_sign(ctx, ctx.g0, a) * norms[a] for a in letters}
+    best = None
+
+    def walk(word, prod, t):
+        nonlocal best
+        if len(word) > 1 and prod == g.identity and (best is None or (abs(t), word) < best):
+            best = (abs(t), word)
+        if len(word) == n_max:
+            return
+        for a in letters:
+            p, ok = a, True
+            for b in reversed(word[-3:]):
+                p = g.mul(b, p)
+                ok = ok and norms[p] > cut
+            if ok:
+                walk(word + (a,), g.mul(prod, a), t + weight[a])
+    walk((), g.identity, 0)
+    return None if best is None else (Fraction(best[0], d.den), best[1])
+
+
+@pytest.mark.parametrize("case", ["s4 at 5/24", "s4 at 1/4", "z36 at 1/36"])
+def test_alpha_exhaustive_witness_is_the_least_loop(case):
+    # S4 is not abelian, so a sweep that reads a product in the wrong
+    # order finds other loops
+    if case.startswith("s4"):
+        g = make_from_table(symmetric_group_table(4)[0], "S4")
+        members = [0, 4, 6, 9, 10, 12, 13, 14, 15]
+        lam = Fraction(5, 24) if case.endswith("5/24") else Fraction(1, 4)
+    else:
+        g, members, lam = make_cyclic(36), range(16), Fraction(1, 36)
+    d = pseudometric_from_set(g, Subset.from_indices(g, members))
+    ctx = SignContext(d, 0)
+    n_max = _loop_bounds(d, lam)[2]
+    want = least_loop_by_depth_first_search(ctx, lam, n_max)
+    assert want is not None
+    assert _alpha_exhaustive(ctx, lam, n_max) == (want, True)
 
 
 # -- the beam's Floyd draws and the memoized product table --------------------
