@@ -21,10 +21,8 @@ import numpy as np
 
 from .errors import AxiomViolation, GroupMismatch, NotNormal, PreconditionError
 
-# Exhaustive axiom/identity scans are affordable up to this order;
-# larger models fall back to seeded sampling.  Up to it a product model
-# memoizes its multiplication table (2 MiB at 512) and reads every
-# product from it.
+# Up to this order a product model memoizes its multiplication table
+# (2 MiB at 512) and reads every product from it.
 EXHAUSTIVE_LIMIT = 512
 # Largest order for which an N x N int64 array (a multiplication table,
 # a dense pseudometric) is built: 128 MiB at 4096.
@@ -54,6 +52,7 @@ class GroupModel:
     on them are pure; ``_cache`` memoizes data derived from the model
     (the full table of a small model, coset partitions, quotients, the
     coset-minima matrix of the last toric scan) and is freed with it.
+    Axiom and homomorphism checks run exactly on ``generators()``.
     """
 
     __slots__ = ("label", "factors", "order", "identity", "abelian", "_digits", "_cache")
@@ -170,16 +169,33 @@ class GroupModel:
     def __repr__(self):
         return f"GroupModel({self.label}, order={self.order})"
 
+    def generators(self) -> np.ndarray:
+        """Generators, each at its factor's digit with the others at the
+        identity: a cyclic factor's unit; a table factor's least element
+        not yet reached by ``cayley_bfs`` over its earlier picks, until it
+        is reached whole (at most log2 n picks, each doubling the span).
+        The identity must be two-sided, as ``validate`` checks first."""
+        out = []
+        for factor, (n, stride, table, _) in zip(self.factors, self._digits):
+            e = factor[3]
+            picks = [1] if n > 1 else []
+            if table is not None:
+                one, picks, reached = GroupModel([factor], self.label), [], {e}
+                while len(reached) < n:
+                    picks.append(next(x for x in range(n) if x not in reached))
+                    reached = cayley_bfs(one, picks)
+            out += [self.identity + (x - e) * stride for x in picks]
+        return np.array(out, dtype=np.int64)
+
     # -- validation ------------------------------------------------------
 
-    def validate(self, rng=None, samples=20000):
-        """Check the group axioms; exhaustive for order <= EXHAUSTIVE_LIMIT.
-
-        Raises AxiomViolation with the offending witness.  Constructed
-        models satisfy the axioms by arithmetic, but the scan is the same
-        for every kind so tests can rely on it.
-        """
-        n = self.order
+    def validate(self):
+        """Check the group axioms exactly: identity and inverses on every
+        element, associativity by ``_check_associative``.  Raises
+        AxiomViolation with the offending witness, and above
+        DENSE_ORDER_LIMIT PreconditionError("order limit") before scanning.
+        The scan is the same for every kind, so tests can rely on it."""
+        require_dense_order(self.order)
         idx = self.elements()
         e = self.identity
         for translate in (self.mul_vec(e, idx), self.rmul_vec(idx, e)):
@@ -189,14 +205,7 @@ class GroupModel:
         bad = np.flatnonzero(self.mul_arr(idx, self.inv_vec(idx)) != e)
         if bad.size:
             raise AxiomViolation("inverse", (int(bad[0]),))
-        if n <= EXHAUSTIVE_LIMIT:
-            _check_associative(self.full_table())
-        else:
-            rng = rng or np.random.default_rng(0)
-            for _ in range(samples):
-                a, b, c = (int(x) for x in rng.integers(0, n, 3))
-                if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                    raise AxiomViolation("associativity", (a, b, c))
+        _check_associative(self)
         return True
 
     def full_table(self) -> np.ndarray:
@@ -235,14 +244,22 @@ def require_dense_order(order: int):
                                 f"exceeds DENSE_ORDER_LIMIT = {DENSE_ORDER_LIMIT}")
 
 
-def _check_associative(table: np.ndarray):
-    """Raise AxiomViolation at the first (a, b, c) with (ab)c != a(bc);
-    exhaustive, one vectorized pass per row a."""
-    for a in range(len(table)):
-        bad = table[table[a], :] != table[a, table]
-        if bad.any():
-            b, c = map(int, np.argwhere(bad)[0])
-            raise AxiomViolation("associativity", (a, b, c))
+def _check_associative(g_model: GroupModel):
+    """Light's test: AxiomViolation at the first (a, s, c), s a generator,
+    with (as)c != a(sc).  The s passing for all a, c are closed under
+    products and every element is a left-normed product of generators, so
+    this is exact on any table with a two-sided identity.  Rows of a go in
+    blocks of at most PAIR_BLOCK pairs."""
+    idx = g_model.elements()
+    rows = max(1, PAIR_BLOCK // g_model.order)
+    for s in g_model.generators().tolist():
+        sc = g_model.mul_vec(s, idx)
+        for start in range(0, g_model.order, rows):
+            a = idx[start:start + rows, None]
+            bad = g_model.mul_arr(g_model.rmul_vec(a, s), idx) != g_model.mul_arr(a, sc)
+            if bad.any():
+                i, c = map(int, np.argwhere(bad)[0])
+                raise AxiomViolation("associativity", (start + i, s, c))
 
 
 def _table_model(table: np.ndarray, identity: int, inv: np.ndarray, label: str) -> GroupModel:
@@ -296,8 +313,9 @@ def make_from_table(table, label: Optional[str] = None) -> GroupModel:
     if bad.size:
         raise AxiomViolation("inverse", (int(bad[0]),))
 
-    _check_associative(table)
-    return _table_model(table, identity, inv, label or f"table{n}")
+    model = _table_model(table, identity, inv, label or f"table{n}")
+    _check_associative(model)
+    return model
 
 
 def symmetric_group_table(n: int):
@@ -572,19 +590,15 @@ class Character:
         return np.flatnonzero(self.image == 0)
 
     def verify(self) -> bool:
+        """chi(e) = 0 and chi(g s) = chi(g) + chi(s) for every g and every
+        generator s (one N x |S| gather), which by induction on word
+        length is the homomorphism property."""
         g = self.parent
         if self.image[g.identity] != 0:
             return False
-        if g.order <= EXHAUSTIVE_LIMIT:
-            table = g.full_table()
-            expect = (self.image[:, None] + self.image[None, :]) % self.modulus
-            return bool(np.array_equal(self.image[table], expect))
-        rng = np.random.default_rng(1)
-        for _ in range(20000):
-            a, b = (int(x) for x in rng.integers(0, g.order, 2))
-            if self.image[g.mul(a, b)] != (self.image[a] + self.image[b]) % self.modulus:
-                return False
-        return True
+        s = g.generators()
+        expect = (self.image[:, None] + self.image[s]) % self.modulus
+        return bool(np.array_equal(self.image[g.mul_arr(g.elements()[:, None], s)], expect))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .pseudometric import (AlphaResult, PseudometricTable, SignContext,
                            pseudometric_from_set)
 from .sumset import Subset, bohr_preimage, fast_product_set
 
-PAIR_EXHAUSTIVE_LIMIT = 256
 DENOISE_EVAL_BUDGET = 240   # candidate sets the denoiser scores before it stops
 STEP_PROBE = 10             # translates offered per target overlap in one step
 SAMPLE_SEED = 0             # fiberwise_rigidity_report: sampled fiber pairs
@@ -44,8 +43,8 @@ class AlmostHom:
     """Single-valued almost homomorphism into the alpha-circle.
 
     values are canonical residues in [0, alpha) over the pseudometric
-    denominator; q is the worst additive defect measured in the circle
-    of circumference alpha.
+    denominator; q is the worst additive defect over every pair of
+    elements, measured in the circle of circumference alpha.
     """
 
     group: GroupModel
@@ -53,7 +52,6 @@ class AlmostHom:
     values_num: np.ndarray
     den: int
     q: Fraction
-    q_exhaustive: bool
     max_path_len: int
 
     def value(self, g: int) -> Fraction:
@@ -124,23 +122,22 @@ def almost_hom(d: PseudometricTable, lam, gamma,
         raise PreconditionError("generation", "N(lambda) does not generate the group")
     t, depth = words
     values = t % alpha_num
-    q, exhaustive = _additive_defect(g_model, values, alpha_num, d.den)
-    return AlmostHom(g_model, alpha, values, d.den, q, exhaustive, int(depth.max()))
+    q = _additive_defect(g_model, values, alpha_num, d.den)
+    return AlmostHom(g_model, alpha, values, d.den, q, int(depth.max()))
 
 
-def _additive_defect(g_model: GroupModel, values: np.ndarray, alpha_num: int, den: int):
-    """Worst circle defect of v(g1) + v(g2) - v(g1 g2); exhaustive for
-    small models, sampled (seed 0) above."""
-    n = g_model.order
+def _additive_defect(g_model: GroupModel, values: np.ndarray, alpha_num: int,
+                     den: int) -> Fraction:
+    """Worst circle defect of v(g1) + v(g2) - v(g1 g2) over every pair,
+    rows of g1 in blocks of at most PAIR_BLOCK pairs."""
     idx = g_model.elements()
-    exhaustive = n <= PAIR_EXHAUSTIVE_LIMIT
-    rng = np.random.default_rng(0)
-    rows = range(n) if exhaustive else [int(rng.integers(0, n)) for _ in range(200)]
+    rows = max(1, PAIR_BLOCK // g_model.order)
     worst = 0
-    for g1 in rows:
-        r = (int(values[g1]) + values - values[g_model.mul_vec(g1, idx)]) % alpha_num
+    for start in range(0, g_model.order, rows):
+        g1 = idx[start:start + rows, None]
+        r = (values[g1] + values - values[g_model.mul_arr(g1, idx)]) % alpha_num
         worst = max(worst, int(np.minimum(r, alpha_num - r).max()))
-    return Fraction(worst, den), exhaustive
+    return Fraction(worst, den)
 
 
 def _nearest_character(images: np.ndarray, values_num: np.ndarray, alpha_num: int, m: int):
@@ -211,7 +208,6 @@ class PipelineConfig:
     lam: Optional[Fraction] = None            # None = auto (rho/32 policy)
     gamma_policy: str = "exact"               # exact | fitted
     target_modulus: Optional[int] = None
-    alpha_mode: str = "auto"                  # auto | exhaustive | beam
     seed: int = 0
 
     def normalized(self):
@@ -446,9 +442,7 @@ def inverse_pipeline(g_model: GroupModel, a: Subset, b: Subset, delta,
         lam = config.lam if config.lam is not None else _auto_lambda(table, g_model)
         diag["lambda"] = lam
         ball_size = table.ball_indices(lam).size
-        mode = config.alpha_mode
-        if mode == "auto":
-            mode = "exhaustive" if n * ball_size ** 3 <= 200_000 else "beam"
+        mode = "exhaustive" if n * ball_size ** 3 <= 200_000 else "beam"
         alpha_res = alpha_lambda(table, lam, gamma, mode=mode, seed=config.seed)
         diag["alpha"] = alpha_res.alpha
         diag["alpha_bounds"] = (alpha_res.lower, alpha_res.upper)

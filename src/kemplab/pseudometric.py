@@ -36,8 +36,7 @@ TRIANGLE_EXHAUSTIVE_LIMIT = 256
 ALPHA_STATE_CAP = 2_000_000     # exhaustive alpha sweep: states before giving up
 BEAM_WIDTH = 64                 # beam alpha search: kept paths per depth
 BEAM_RESTARTS = 8               # beam alpha search: seeded restarts
-SAMPLE_SEED = 0                 # verify_pseudometric: sampled triples and invariances
-INVARIANCE_SAMPLES = 64         # verify_pseudometric: elements checked above that count
+SAMPLE_SEED = 0                 # verify_pseudometric: sampled raw triples
 
 
 class PseudometricTable:
@@ -158,7 +157,9 @@ def verify_pseudometric(g: GroupModel, num: np.ndarray) -> PseudometricReport:
     ``table.dense_num()`` for a table).  Triangle inequality: exhaustive
     N^3 scan up to TRIANGLE_EXHAUSTIVE_LIMIT; above that, the
     left-invariant pair reduction on row ``num[identity]`` (exhaustive
-    under invariance) plus sampled raw triples.  Every other scan reads
+    under invariance) plus sampled raw triples.  Bi-invariance is checked
+    under each of ``g.generators()``: invariance under two relabelings
+    implies invariance under their product.  Every other scan reads
     ``num`` one row (or one 64-row block) at a time, so above that limit
     the extra memory is O(N).  Raises PreconditionError("order limit")
     above DENSE_ORDER_LIMIT before reading ``num``, and
@@ -214,21 +215,17 @@ def verify_pseudometric(g: GroupModel, num: np.ndarray) -> PseudometricReport:
                     witness = ("triangle", i, j, k)
                 break
 
-    if n <= INVARIANCE_SAMPLES:
-        hs = range(n)
-    else:
-        hs = np.random.default_rng(SAMPLE_SEED).choice(n, INVARIANCE_SAMPLES, replace=False)
     left_ok = True
     right_ok = True
-    for h in hs:
-        if left_ok and not _relabel_invariant(num, g.mul_vec(int(h), idx)):
+    for s in g.generators().tolist():
+        if left_ok and not _relabel_invariant(num, g.mul_vec(s, idx)):
             left_ok = False
             if witness is None:
-                witness = ("left invariance", int(h))
-        if right_ok and not _relabel_invariant(num, g.rmul_vec(idx, int(h))):
+                witness = ("left invariance", s)
+        if right_ok and not _relabel_invariant(num, g.rmul_vec(idx, s)):
             right_ok = False
             if witness is None:
-                witness = ("right invariance", int(h))
+                witness = ("right invariance", s)
         if not (left_ok or right_ok):
             break
     return PseudometricReport(reflexive_ok, symmetric_ok, triangle_ok,

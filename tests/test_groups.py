@@ -635,3 +635,132 @@ def test_characters_refuse_an_image_matrix_above_the_limit():
         tracemalloc.stop()
     assert exc.value.name == "order limit"
     assert peak < 8 * 2 ** 20
+
+
+# -- exact verdicts on generators ---------------------------------------------
+
+GENERATOR_MODELS = {    # the kinds of test_pseudometric's PROPERTY_MODELS, S4, a quotient
+    "cyclic": lambda: make_cyclic(12),
+    "product": lambda: make_product(make_cyclic(3), make_cyclic(4)),
+    "table": s3,
+    "table x cyclic": lambda: make_product(s3(), make_cyclic(2)),
+    "S4": lambda: make_from_table(symmetric_group_table(4)[0], "S4"),
+    "quotient": quotient_z12_z6,
+}
+
+
+def character_oracle(chi):
+    """The homomorphism property on the full table."""
+    g, image = chi.parent, chi.image
+    table = g.full_table()
+    return bool(image[g.identity] == 0 and np.array_equal(
+        image[table], (image[:, None] + image[None, :]) % chi.modulus))
+
+
+def associative_oracle(table):
+    n = len(table)
+    return all(table[table[a, b], c] == table[a, table[b, c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def group_oracle(table):
+    """The group axioms on a table, element by element."""
+    n, idx = len(table), np.arange(len(table))
+    ids = [e for e in range(n) if (table[e] == idx).all() and (table[:, e] == idx).all()]
+    return bool(ids) and all(any(table[a, b] == table[b, a] == ids[0] for b in range(n))
+                             for a in range(n)) and associative_oracle(table)
+
+
+@pytest.mark.parametrize("name", GENERATOR_MODELS)
+def test_generators_generate_the_group_with_few_picks(name):
+    g = GENERATOR_MODELS[name]()
+    gens = g.generators()
+    assert generated_subgroup(g, gens).order == g.order
+    # each pick moves one digit; a cyclic factor gives its unit, a table
+    # factor of order n at most ceil(log2 n) picks
+    digit = [(gens // s % n, (g.identity // s) % n) for n, s, _, _ in g._digits]
+    moved = np.array([x != e for x, e in digit])
+    assert (moved.sum(axis=0) == 1).all()
+    for (n, table, _, _), row, (x, _) in zip(g.factors, moved, digit):
+        if table is None:
+            assert x[row].tolist() == ([1] if n > 1 else [])
+        else:
+            assert 1 <= row.sum() <= math.ceil(math.log2(n))
+
+
+@pytest.mark.parametrize("name", GENERATOR_MODELS)
+def test_verify_matches_the_full_table(name):
+    g = GENERATOR_MODELS[name]()
+    rng = np.random.default_rng(3)
+    chars = enumerate_characters(g)
+    maps = [(c.modulus, c.image) for c in chars]
+    for c in chars:             # one value moved off a real character
+        image = c.image.copy()
+        image[int(rng.integers(g.order))] += int(rng.integers(1, c.modulus))
+        maps.append((c.modulus, image % c.modulus))
+    for m in (2, 3, 12):        # random maps, mostly not characters
+        maps += [(m, np.where(np.arange(g.order) == g.identity, 0, rng.integers(0, m, g.order)))
+                 for _ in range(20)]
+    verdicts = set()
+    for m, image in maps:
+        chi = groups.Character(g, m, image, True)
+        assert chi.verify() == character_oracle(chi)
+        verdicts.add(chi.verify())
+    assert verdicts == {True, False}
+
+
+def test_verify_rejects_a_character_corrupted_off_the_sampled_pairs():
+    # Z65536: index 12 is never a, b or a + b among the 20000 pairs a
+    # seeded sampler (seed 1) would draw, so only an exact check sees it
+    z = make_cyclic(65536)
+    image = np.arange(65536)
+    assert groups.Character(z, 65536, image, True).verify()
+    image[12] += 1
+    assert not groups.Character(z, 65536, image, True).verify()
+
+
+@pytest.mark.parametrize("name", ["S3", "Z6", "Z4"])
+def test_associativity_check_matches_the_cubic_scan_on_corrupted_tables(name):
+    base = {"S3": symmetric_group_table(3)[0],
+            "Z6": np.add.outer(np.arange(6), np.arange(6)) % 6,
+            "Z4": np.add.outer(np.arange(4), np.arange(4)) % 4}[name]
+    n = len(base)
+    verdicts = set()
+    for a in range(n):
+        for b in range(n):
+            for v in range(n):
+                if v == base[a, b]:
+                    continue
+                table = base.copy()
+                table[a, b] = v
+                try:
+                    make_from_table(table)
+                    built = True
+                except AxiomViolation:
+                    built = False
+                assert built == group_oracle(table)
+                if a == 0 or b == 0:    # the identity (0 in all three) stays two-sided
+                    continue
+                # Light's test alone, on the table and on its product with Z2
+                inv = np.zeros(n, dtype=np.int64)
+                for model in (groups.GroupModel([(n, table, inv, 0)], "unchecked"),
+                              groups.GroupModel([(n, table, inv, 0), (2, None, None, 0)], "x")):
+                    try:
+                        groups._check_associative(model)
+                        passed = True
+                    except AxiomViolation:
+                        passed = False
+                    assert passed == associative_oracle(table)
+                    verdicts.add(passed)
+    assert False in verdicts
+
+
+def test_associativity_check_tries_every_generator():
+    # a magma with identity 0 and generators 1, 2, 3 where (a 1) c = a (1 c)
+    # for all a, c: only the second generator shows (1 2) 2 != 1 (2 2)
+    t = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 0, 0], [3, 3, 0, 0]])
+    g = groups.GroupModel([(4, t, np.arange(4), 0)], "unchecked")
+    assert g.generators().tolist() == [1, 2, 3]
+    with pytest.raises(AxiomViolation) as exc:
+        g.validate()
+    assert (exc.value.axiom, exc.value.witness) == ("associativity", (1, 2, 2))

@@ -99,10 +99,9 @@ def test_snap_recovers_after_small_perturbation():
     alpha_num = int(hom.alpha * 720)
     bumped = (fine + wiggle) % alpha_num
     from kemplab.homextract import _additive_defect
-    q, _ = _additive_defect(z, bumped, alpha_num, 720)
+    q = _additive_defect(z, bumped, alpha_num, 720)
     assert q <= Fraction(3, 720) < hom.alpha / 200
-    noisy = AlmostHom(hom.group, hom.alpha, bumped, 720, q,
-                      hom.q_exhaustive, hom.max_path_len)
+    noisy = AlmostHom(hom.group, hom.alpha, bumped, 720, q, hom.max_path_len)
     chi, dist = snap_to_character(z, noisy, 360)
     assert np.array_equal(chi.image, np.arange(360))
     assert dist <= Fraction(136, 100) * noisy.q / noisy.alpha
@@ -157,7 +156,7 @@ def test_snap_matches_the_scalar_loop():
         else:
             values = rng.integers(0, 96, g.order)
         values[g.identity] = 0
-        hom = AlmostHom(g, Fraction(96), values, 1, Fraction(8), True, 1)
+        hom = AlmostHom(g, Fraction(96), values, 1, Fraction(8), 1)
         expect = scalar_snap(g, hom, 48)
         assert snapped(g, hom, 48) == expect
         outcomes.add(expect[:4] if isinstance(expect, str) else "ok")
@@ -175,7 +174,7 @@ def test_nearest_character_takes_the_least_image_among_equal_distances(monkeypat
     assert images.tolist() == [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
     assert _nearest_character(images, np.array([0, 1, 1, 2]), 4, 2) == (1, Fraction(1, 4))
     assert _nearest_character(images, np.array([0, 3, 1, 2]), 4, 2) == (1, Fraction(1, 4))
-    hom = AlmostHom(g, Fraction(4), np.array([0, 1, 1, 2]), 1, Fraction(1, 3), True, 1)
+    hom = AlmostHom(g, Fraction(4), np.array([0, 1, 1, 2]), 1, Fraction(1, 3), 1)
     assert snapped(g, hom, 2) == scalar_snap(g, hom, 2)
 
 
@@ -534,7 +533,7 @@ def test_spread_witness_matches_the_pair_loop():
     for _ in range(1000):
         alpha_num = int(rng.integers(1, 61))
         values = rng.integers(0, alpha_num, int(rng.integers(1, 13)))
-        hom = AlmostHom(make_cyclic(1), Fraction(alpha_num), values, 1, Fraction(0), True, 0)
+        hom = AlmostHom(make_cyclic(1), Fraction(alpha_num), values, 1, Fraction(0), 0)
         expect = spread_oracle(values, alpha_num)
         assert hom.spread_witness() == expect
         found.add(expect is None)
@@ -546,7 +545,7 @@ def test_spread_witness_without_a_witness():
     for values, alpha_num in (([0, 0, 0], 9), ([0, 3, 2, 1], 9), ([5, 7, 6], 9),
                               ([0, 8, 1], 9), ([4], 1)):
         hom = AlmostHom(make_cyclic(1), Fraction(alpha_num), np.array(values), 1,
-                        Fraction(0), True, 0)
+                        Fraction(0), 0)
         assert hom.spread_witness() is None
         assert spread_oracle(np.array(values), alpha_num) is None
 
@@ -565,8 +564,7 @@ def test_golden_almost_hom_noisy_arc():
     lam = Fraction(89, 3000)
     res = alpha_lambda(d, lam, gamma, mode="beam", seed=1)
     hom = almost_hom(d, lam, gamma, alpha_result=res)
-    assert (hom.alpha, hom.q, hom.q_exhaustive, hom.max_path_len) == \
-        (Fraction(1489, 1500), Fraction(1, 100), False, 17)
+    assert (hom.alpha, hom.q, hom.max_path_len) == (Fraction(1489, 1500), Fraction(1, 100), 17)
     digest = hashlib.sha256(hom.values_num.astype(np.int64).tobytes()).hexdigest()[:16]
     assert digest == "257a8f93f5080fa4"
 
@@ -688,3 +686,17 @@ def test_almost_hom_checks_the_lambda_range_before_any_sign(monkeypatch):
             almost_hom(d, lam, gamma, alpha_result=given)
         assert exc.value.name == "lambda range"
     assert signs == []
+
+
+def test_additive_defect_scans_every_pair():
+    # Z3000 with v(g) = g and v(1) bumped by 5: the worst pair is (1, 1),
+    # 6 + 6 - 2 = 10 over 3000, in row 1, which a 200-row sample with
+    # seed 0 would miss; bumping v(2999) instead puts the only worst pair
+    # (2999, 2999) in the last block of rows
+    z = make_cyclic(3000)
+    for g in (1, 2999):
+        values = np.arange(3000)
+        values[g] = (values[g] + 5) % 3000
+        assert homextract._additive_defect(z, values, 3000, 3000) == Fraction(1, 300)
+        values[g] = g
+        assert homextract._additive_defect(z, values, 3000, 3000) == 0

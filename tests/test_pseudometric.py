@@ -447,13 +447,14 @@ def test_verify_catches_failures_above_exhaustive_limit():
     assert _flags(rep) == (True, True, False, True, True)
     assert rep.witness == ("triangle", 0, 1, 7)
     assert verify_pseudometric(z, d.dense_num()).all_ok
-    # one symmetric pair of cells raised: only the invariance samples see it
+    # one symmetric pair of cells raised: only the invariance check under
+    # the generator 1 sees it
     num = d.dense_num()
     num[30, 170] += 5
     num[170, 30] += 5
     rep = verify_pseudometric(z, num)
     assert _flags(rep) == (True, True, True, False, False)
-    assert rep.witness == ("left invariance", 296)
+    assert rep.witness == ("left invariance", 1)
 
 
 # -- golden outputs at gamma > 0, frozen before the integer norm cuts -------
@@ -989,6 +990,32 @@ def test_linearity_scan_memory_stays_bounded():
 
 
 @pytest.mark.parametrize("kind", sorted(PROPERTY_MODELS))
+def test_invariance_verdicts_match_every_translation(kind):
+    # the generator checks against all N translations on each side, on
+    # tables of random sets (left invariant), their mirrors d(x^-1, y^-1)
+    # (right invariant) and |x - y| in the last digit, which the other
+    # factors' generators keep
+    g = PROPERTY_MODELS[kind]
+    idx = g.elements()
+    inv = g.inv_vec(idx)
+    last = idx % g.factors[-1][0]
+    nums = [np.abs(last[:, None] - last[None, :])]
+    rng = np.random.default_rng(9)
+    for _ in range(4):
+        members = rng.choice(g.order, g.order // 3, replace=False)
+        num = pseudometric_from_set(g, Subset.from_indices(g, members)).dense_num()
+        nums += [num, num[inv[:, None], inv]]
+    verdicts = set()
+    for num in nums:
+        rep = verify_pseudometric(g, num)
+        for ok, perms in ((rep.left_invariant_ok, [g.mul_vec(h, idx) for h in idx]),
+                          (rep.right_invariant_ok, [g.rmul_vec(idx, h) for h in idx])):
+            assert ok == all(np.array_equal(num[p[:, None], p], num) for p in perms)
+            verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("kind", sorted(PROPERTY_MODELS))
 def test_small_models_memoize_a_read_only_table(kind):
     g = PROPERTY_MODELS[kind]
     table = g.full_table()
@@ -1006,7 +1033,7 @@ def test_order_limit_before_an_n_squared_array():
     d = PseudometricTable(g, np.zeros(g.order, dtype=np.int64), g.order)
     tracemalloc.start()
     try:
-        for build in (g.full_table, d.dense_num):
+        for build in (g.full_table, d.dense_num, g.validate):
             with pytest.raises(PreconditionError, match="order limit"):
                 build()
         peak = tracemalloc.get_traced_memory()[1]
