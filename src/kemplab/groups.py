@@ -236,6 +236,18 @@ class GroupModel:
         return table
 
 
+def _index_array(g_model: GroupModel, indices) -> np.ndarray:
+    """``indices`` as an int64 array of elements; PreconditionError("index
+    range") names its first entry outside 0..N-1."""
+    n = g_model.order
+    idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices),
+                     dtype=np.int64)
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise PreconditionError("index range", f"{bad[0]} not in 0..{n-1}")
+    return idx
+
+
 def require_dense_order(order: int):
     """Raise PreconditionError("order limit") before an N x N array is
     allocated for an order above DENSE_ORDER_LIMIT."""

@@ -304,6 +304,11 @@ def _step_candidates(g_model, work: Subset, other: Subset, side: str,
     return out
 
 
+def _near_target(s: Subset, target: Fraction) -> bool:
+    """The shrink stage's one tolerance: mu(s) within one cell of target."""
+    return abs(s.measure() - target) <= Fraction(1, s.parent.order)
+
+
 def _denoise(g_model, work, other, d_target, side):
     """Best-first search for a working set of measure ~d_target whose
     pseudometric is exactly linear, via translate intersections/unions.
@@ -314,8 +319,6 @@ def _denoise(g_model, work, other, d_target, side):
     search stops after DENOISE_EVAL_BUDGET scored states.
     """
     import heapq
-    n = g_model.order
-    slack = Fraction(1, n)
     base_gamma = max(deficit(g_model, work, other).excess, Fraction(0))
 
     def score(s: Subset):
@@ -330,8 +333,8 @@ def _denoise(g_model, work, other, d_target, side):
     seen = {mask}
     evals = 1
     while heap and evals < DENOISE_EVAL_BUDGET:
-        (clean, _nviol, dist), depth, _, cur = heapq.heappop(heap)
-        if clean == 0 and dist <= slack:
+        (clean, _nviol, _dist), depth, _, cur = heapq.heappop(heap)
+        if clean == 0 and _near_target(cur, d_target):
             return cur, base_gamma * 2 ** depth, True
         if depth >= 24:
             continue
@@ -348,17 +351,16 @@ def _denoise(g_model, work, other, d_target, side):
             heapq.heappush(heap, (sc, depth + 1, mask, cand))
             if evals >= DENOISE_EVAL_BUDGET:
                 break
-    clean, _nviol, dist = best[0]
-    return best[2], base_gamma * 2 ** best[1], clean == 0 and dist <= slack
+    (clean, _nviol, _dist), depth, cur = best
+    return cur, base_gamma * 2 ** depth, clean == 0 and _near_target(cur, d_target)
 
 
 def _require_near_target(work: Subset, target: Fraction, side: str):
     """The denoiser returns its best state even when that state is far
     from the target measure; the later stages cannot work on such a set."""
-    n = work.parent.order
-    if abs(work.measure() - target) > Fraction(1, n):
+    if not _near_target(work, target):
         raise StageError("shrink", f"side {side}: working set of {work.size} cells "
-                                   f"against a target of {target * n}")
+                                   f"against a target of {target * work.parent.order}")
 
 
 @contextmanager
@@ -380,11 +382,12 @@ def inverse_pipeline(g_model: GroupModel, a: Subset, b: Subset, delta,
     Stages (each failure is a named StageError, never a silent
     substitution): near-minimality guard; optional shrink (doubling as
     the denoiser); pseudometric; linearity and path monotonicity fits;
-    loop weight unit; almost homomorphism; character snap; projection
-    smallness guard; structural control, lifted to the original pair by
-    Bohr-set stability when shrinking happened.  A library error inside
-    a stage is raised as that stage's StageError, with the error as its
-    ``__cause__``.
+    loop weight unit; almost homomorphism; character snap and kernel
+    norm; structural control, whose image smallness precondition
+    mu(chi(A3)) + mu(chi(B3)) < 1/5 guards the working pair, lifted to
+    the original pair by Bohr-set stability when shrinking happened.  A
+    library error inside a stage is raised as that stage's StageError,
+    with the error as its ``__cause__``.
     """
     config = (config or PipelineConfig()).normalized()
     delta = Fraction(delta)
@@ -469,16 +472,8 @@ def inverse_pipeline(g_model: GroupModel, a: Subset, b: Subset, delta,
         if not kn_ok:
             raise StageError("kernel norm", f"witness {kn_witness} violates 2 lambda/3")
 
-    # stage (vii): projection smallness on the working pair
-    with _stage("projection smallness"):
-        m = chi.modulus
-        img_a = Fraction(len(np.unique(chi.image[a3.indices()])), m)
-        img_b = Fraction(len(np.unique(chi.image[b3.indices()])), m)
-        if not img_a + img_b < Fraction(1, 5):
-            raise StageError("projection smallness",
-                             f"mu(chi(A3)) + mu(chi(B3)) = {img_a + img_b} >= 1/5")
-
-    # stage (viii): structural control + lift
+    # stage (vii): structural control (its image smallness precondition
+    # guards the working pair) + lift
     with _stage("structural control"):
         work_excess = deficit(g_model, a3, b3).excess
         delta3 = _grid_bump(work_excess, n)

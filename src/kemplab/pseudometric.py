@@ -28,8 +28,9 @@ import numpy as np
 from .errors import (AmbiguousSign, EmptyInput, MinimumResolution,
                      PreconditionError)
 from . import groups
-from .groups import (GroupModel, Subgroup, cayley_bfs, distinct_cyclic_subgroups,
-                     powers, require_dense_order, subgroup_from_members)
+from .groups import (GroupModel, Subgroup, _index_array, cayley_bfs,
+                     distinct_cyclic_subgroups, powers, require_dense_order,
+                     subgroup_from_members)
 from .sumset import Subset, overlap_profile
 
 TRIANGLE_EXHAUSTIVE_LIMIT = 256
@@ -439,41 +440,63 @@ class SignContext:
         self.g0 = int(self.references[0])
 
 
-def relative_sign(ctx: SignContext, g1: int, g2: int) -> int:
-    """The trichotomy s(g1, g2) in {-1, 0, +1}.
+def _entries_in_ball(d: PseudometricTable, seq, cut: int, name: str, ball_name: str):
+    """``seq`` as an int64 index array whose norms are all at most ``cut``;
+    PreconditionError(name) names the first entry outside ``ball_name``."""
+    seq = _index_array(d.group, seq)
+    out = np.flatnonzero(d.norm_num[seq] > cut)
+    if out.size:
+        raise PreconditionError(name, f"entry {seq[out[0]]} outside {ball_name}")
+    return seq
+
+
+def _relative_signs(ctx: SignContext, g1, g2) -> np.ndarray:
+    """The trichotomy s(g1, g2) in {-1, 0, +1} over broadcast index arrays.
 
     0 when min norm <= 4 gamma; +1 when ||g1 g2|| sits in the sum
-    window; -1 in the difference window; AmbiguousSign when the norm
-    falls in the gap between the windows (impossible when min > 4 gamma,
-    guarded anyway).  Precondition: ||g1|| + ||g2|| < rho - gamma.
+    window; -1 in the difference window.  The first pair in row-major
+    order with ||g1|| + ||g2|| >= rho - gamma raises PreconditionError
+    ("sign range"), or with its norm in neither window AmbiguousSign
+    (impossible when min > 4 gamma, guarded anyway; both windows at once
+    would need min <= gamma).  Only in-range norms are summed, and
+    those sums stay below rho, so int64 holds them.
     """
     d = ctx.d
-    n1, n2 = d.norm_num.item(g1), d.norm_num.item(g2)
-    if not n1 + n2 < ctx.range_cut:
-        raise PreconditionError("sign range", "||g1|| + ||g2|| must be < rho - gamma")
-    if min(n1, n2) <= ctx.zero_cut:
-        return 0
-    p = d.norm_num.item(d.group.mul(g1, g2))
-    in_sum = abs(p - (n1 + n2)) <= ctx.window_cut
-    in_diff = abs(p - abs(n1 - n2)) <= ctx.window_cut
-    if in_sum and in_diff:
-        raise AmbiguousSign(f"windows overlap at ({g1}, {g2}); min norm too small")
-    if in_sum:
-        return 1
-    if in_diff:
-        return -1
-    raise AmbiguousSign(
-        f"||g1 g2|| = {Fraction(p, d.den)} lies between the sum and difference windows")
+    g1, g2 = _index_array(d.group, g1), _index_array(d.group, g2)
+    n1, n2 = d.norm_num[g1], d.norm_num[g2]
+    in_range = n1 < ctx.range_cut - n2      # n1 + n2 could overflow int64
+    n1, n2 = np.where(in_range, n1, 0), np.where(in_range, n2, 0)
+    p = d.norm_num[d.group.mul_arr(g1, g2)]
+    in_sum = np.abs(p - (n1 + n2)) <= ctx.window_cut
+    in_diff = np.abs(p - np.abs(n1 - n2)) <= ctx.window_cut
+    zero = np.minimum(n1, n2) <= ctx.zero_cut
+    bad = ~in_range | ~(zero | in_sum | in_diff)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not in_range.flat[i]:
+            raise PreconditionError("sign range", "||g1|| + ||g2|| must be < rho - gamma")
+        raise AmbiguousSign(f"||g1 g2|| = {Fraction(int(p.flat[i]), d.den)} lies between "
+                            "the sum and difference windows")
+    return np.where(zero, 0, np.where(in_sum, 1, -1))
+
+
+def relative_sign(ctx: SignContext, g1: int, g2: int) -> int:
+    """The trichotomy s(g1, g2): ``_relative_signs`` on one pair."""
+    return int(_relative_signs(ctx, [g1], [g2])[0])
+
+
+def _signed_norms(ctx: SignContext, seq, reference: Optional[int] = None) -> np.ndarray:
+    """Each entry's signed weight numerator s(g0, g) ||g|| (int64, each at
+    most a norm): one ``_relative_signs`` call over the entries."""
+    seq = _index_array(ctx.d.group, seq)
+    g0 = ctx.g0 if reference is None else reference
+    return _relative_signs(ctx, [g0], seq) * ctx.d.norm_num[seq]
 
 
 def signed_weight(ctx: SignContext, seq, reference: Optional[int] = None) -> Fraction:
-    """Signed total weight sum_i s(g0, g_i) ||g_i|| (no absolute value)."""
-    g0 = ctx.g0 if reference is None else reference
-    d = ctx.d
-    total = 0
-    for g in seq:
-        total += relative_sign(ctx, g0, int(g)) * int(d.norm_num[int(g)])
-    return Fraction(total, d.den)
+    """Signed total weight sum_i s(g0, g_i) ||g_i|| (no absolute value):
+    the ``_signed_norms`` summed in Python ints, exact for any numerators."""
+    return Fraction(sum(_signed_norms(ctx, seq, reference).tolist()), ctx.d.den)
 
 
 def total_weight(ctx: SignContext, seq) -> Fraction:
@@ -483,11 +506,7 @@ def total_weight(ctx: SignContext, seq) -> Fraction:
     one exists, recomputes the weight; disagreement would falsify the
     well-definedness corollary and raises.
     """
-    d = ctx.d
-    for g in seq:
-        if d.norm_num.item(int(g)) > ctx.weight_cut:
-            raise PreconditionError("weight range",
-                                    f"entry {g} outside N(rho/4 - gamma)")
+    seq = _entries_in_ball(ctx.d, seq, ctx.weight_cut, "weight range", "N(rho/4 - gamma)")
     t = abs(signed_weight(ctx, seq))
     refs = ctx.references
     if refs.size > 1:
@@ -516,49 +535,39 @@ class LambdaSequence:
     @classmethod
     def build(cls, d: PseudometricTable, lam, entries) -> "LambdaSequence":
         lam = Fraction(lam)
-        entries = tuple(int(e) for e in entries)
+        idx = _index_array(d.group, entries)
+        entries = tuple(idx.tolist())
         g = d.group
         p = g.identity
         for e in entries:
             p = g.mul(p, e)
-        cut = d.cut(lam)
-        in_ball = all(d.norm_num.item(e) <= cut for e in entries)
+        in_ball = bool((d.norm_num[idx] <= d.cut(lam)).all())
         irr = in_ball and is_irreducible(d, lam, entries)
         return cls(d, lam, entries, p, in_ball, irr)
 
 
-def _window_in_ball(d: PseudometricTable, cut: int, tail, a: int):
-    """The shortest window ending at ``a`` whose product lies in N(lambda).
-
-    The windows are tail[-k:] + (a,) for k = 1..len(tail), so with the
-    (up to) three entries before ``a`` in ``tail`` they are the windows
-    of length 2..4.  Returns (length, product), or None when every
-    window leaves the ball; ``cut`` is ``d.cut(lambda)``.
-    """
-    g = d.group
-    p = a
-    for k in range(1, len(tail) + 1):
-        p = g.mul(tail[-k], p)
-        if d.norm_num.item(p) <= cut:
-            return k + 1, p
+def _first_window(d: PseudometricTable, cut: int, seq: np.ndarray):
+    """The shortest window of length 2..4 of the word ``seq`` whose
+    product lies in N(lambda) (``cut`` = ``d.cut(lambda)``), leftmost
+    first, as (start, length, product); None when the word is
+    irreducible.  The products of one length are one ``mul_arr`` call,
+    (the window one shorter) x (its next entry)."""
+    w = seq
+    for length in (2, 3, 4):
+        w = d.group.mul_arr(w[:-1], seq[length - 1:])
+        hits = np.flatnonzero(d.norm_num[w] <= cut)
+        if hits.size:
+            k = int(hits[0])
+            return k, length, w[k]
     return None
 
 
-def _lambda_entries(d: PseudometricTable, cut: int, seq) -> list:
-    """The entries as ints, each required to lie in N(lambda)."""
-    seq = [int(e) for e in seq]
-    for e in seq:
-        if d.norm_num.item(e) > cut:
-            raise PreconditionError("lambda-sequence", f"entry {e} outside N(lambda)")
-    return seq
-
-
 def is_irreducible(d: PseudometricTable, lam, seq) -> bool:
-    """Window products of length 2..4 all leave N(lambda)."""
+    """Window products of length 2..4 all leave N(lambda): no
+    ``_first_window``."""
     cut = d.cut(lam)
-    seq = _lambda_entries(d, cut, seq)
-    return not any(_window_in_ball(d, cut, seq[max(0, k - 3):k], seq[k])
-                   for k in range(1, len(seq)))
+    seq = _entries_in_ball(d, seq, cut, "lambda-sequence", "N(lambda)")
+    return _first_window(d, cut, seq) is None
 
 
 def _check_lambda_range(d: PseudometricTable, lam: Fraction, gamma: Fraction,
@@ -578,8 +587,9 @@ def _check_lambda_range(d: PseudometricTable, lam: Fraction, gamma: Fraction,
 def irreducible_concatenation(ctx: SignContext, lam, seq):
     """Greedy merge of in-ball windows until irreducible.
 
-    Shortest window first, leftmost first (any order meets the drift
-    bound; this one is pinned for reproducibility).  Returns
+    Each round merges the word's ``_first_window``: the shortest window
+    whose product lies in N(lambda), leftmost first (any order meets the
+    drift bound; this one is pinned for reproducibility).  Returns
     (reduced_sequence, drift_bound) with drift = 22 (n - m) gamma, and
     asserts the total weight actually moved by at most that.
     """
@@ -587,17 +597,12 @@ def irreducible_concatenation(ctx: SignContext, lam, seq):
     lam = Fraction(lam)
     _check_lambda_range(d, lam, gamma, 4)
     cut = d.cut(lam)
-    seq = _lambda_entries(d, cut, seq)
+    seq = _entries_in_ball(d, seq, cut, "lambda-sequence", "N(lambda)")
     t_orig = signed_weight(ctx, seq)
     n0 = len(seq)
-    while True:
-        # the shortest in-ball window, leftmost first: least (length, end)
-        hits = [(w[0], k, w[1]) for k in range(1, len(seq))
-                if (w := _window_in_ball(d, cut, seq[max(0, k - 3):k], seq[k]))]
-        if not hits:
-            break
-        length, k, p = min(hits)
-        seq[k + 1 - length:k + 1] = [p]
+    while (hit := _first_window(d, cut, seq)) is not None:
+        k, length, p = hit
+        seq = np.concatenate((seq[:k], [p], seq[k + length:]))
     drift = 22 * (n0 - len(seq)) * gamma
     t_new = signed_weight(ctx, seq)
     if abs(t_new - t_orig) > drift:
@@ -654,13 +659,12 @@ def _loop_bounds(d: PseudometricTable, lam: Fraction):
     return lower, upper, n_max
 
 
-def _letters(ctx: SignContext, lam: Fraction):
-    """The search alphabet N(lambda) \\ {identity}, ascending, and each
-    letter's signed weight numerator s(g0, a) ||a||."""
-    d = ctx.d
-    letters = [x for x in d.ball_indices(lam).tolist() if x != d.group.identity]
-    return letters, {a: relative_sign(ctx, ctx.g0, a) * d.norm_num.item(a)
-                     for a in letters}
+def _alphabet(d: PseudometricTable, lam: Fraction) -> np.ndarray:
+    """The search alphabet N(lambda) \\ {identity}, ascending; a caller
+    reads the signed weights of the letters it uses (``_signed_norms``),
+    so a sign error names the letter the caller reaches first."""
+    letters = d.ball_indices(lam)
+    return letters[letters != d.group.identity]
 
 
 def _word_weights(ctx: SignContext, lam: Fraction):
@@ -670,10 +674,11 @@ def _word_weights(ctx: SignContext, lam: Fraction):
     None when the ball does not generate (before any sign is computed)."""
     d = ctx.d
     g = d.group
-    parent = cayley_bfs(g, [x for x in d.ball_indices(lam).tolist() if x != g.identity])
+    letters = _alphabet(d, lam)
+    parent = cayley_bfs(g, letters.tolist())
     if len(parent) < g.order:
         return None
-    weight = _letters(ctx, lam)[1]
+    weight = dict(zip(letters.tolist(), _signed_norms(ctx, letters).tolist()))
     t, depth = [0] * g.order, [0] * g.order
     for y, (x, a) in list(parent.items())[1:]:     # after the identity
         t[y] = t[x] + weight[a]
@@ -682,22 +687,26 @@ def _word_weights(ctx: SignContext, lam: Fraction):
 
 
 def _power_loop_candidates(ctx: SignContext, lam: Fraction, n_max: int):
-    """Deterministic seeds: constant loops (g, g, ..., g) of full order."""
+    """Deterministic seeds: the constant loops a^k, k the order of a
+    letter a, 2 <= k <= n_max, that are irreducible, as (|t|, entries).
+
+    Read in closed form: the windows of a^k are a^j for 2 <= j <= k, so
+    the loop is irreducible iff a^j leaves N(lambda) for
+    2 <= j <= min(k, 4); since a^k = e lies in N(lambda), that is iff
+    a^2, a^3 and a^4 all leave it.  Its weight is |t| = k |s(g0, a)| ||a||,
+    with the signs of these letters only.
+    """
     d = ctx.d
-    g_model = d.group
-    out = []
-    for g in d.ball_indices(lam):
-        g = int(g)
-        if g == g_model.identity:
-            continue
-        k = g_model.element_order(g)
-        if k < 2 or k > n_max:
-            continue
-        seq = LambdaSequence.build(d, lam, [g] * k)
-        if seq.irreducible and seq.product == g_model.identity:
-            t = abs(signed_weight(ctx, seq.entries))
-            out.append((t, seq))
-    return out
+    g = d.group
+    letters = _alphabet(d, lam)
+    cut = d.cut(lam)
+    power, out = letters, np.ones(letters.size, dtype=bool)
+    for _ in range(3):
+        power = g.mul_arr(power, letters)
+        out &= d.norm_num[power] > cut
+    loops = [(a, k) for a in letters[out].tolist() if (k := g.element_order(a)) <= n_max]
+    weights = np.abs(_signed_norms(ctx, [a for a, _ in loops])).tolist()
+    return [(Fraction(k * t, d.den), (a,) * k) for (a, k), t in zip(loops, weights)]
 
 
 def _extend(d: PseudometricTable, cut: int, tail: np.ndarray, letters: np.ndarray):
@@ -763,9 +772,8 @@ def _alpha_exhaustive(ctx: SignContext, lam: Fraction, n_max: int):
     """
     d = ctx.d
     g = d.group
-    alphabet, weight = _letters(ctx, lam)
-    alphabet = np.array(alphabet, dtype=np.int64)
-    signed = np.array([weight[a] for a in alphabet.tolist()], dtype=np.int64)
+    alphabet = _alphabet(d, lam)
+    signed = _signed_norms(ctx, alphabet)
     if n_max * int(np.abs(signed).max()) >= 2**63:
         raise PreconditionError("loop weights", "loop weights overflow int64")
     cut = d.cut(lam)
@@ -838,14 +846,15 @@ def _alpha_beam(ctx: SignContext, lam: Fraction, n_max: int, seed: int):
     d = ctx.d
     g = d.group
     norms = d.norm_num
-    letters, weight = _letters(ctx, lam)
-    n_letters = len(letters)
+    letters = _alphabet(d, lam)
+    signed = _signed_norms(ctx, letters)
+    n_letters = letters.size
     restarts = 1 if n_letters <= 8 else BEAM_RESTARTS
     rng_master = np.random.default_rng(seed)
     bitgens = [np.random.default_rng(rng_master.integers(0, 2**63 - 1)).bit_generator
                for _ in range(restarts)]
-    alphabet = np.array(sorted(letters, key=lambda a: (-norms.item(a), a)), dtype=np.int64)
-    signed = np.array([weight[a] for a in alphabet.tolist()], dtype=np.int64)
+    by_norm = np.lexsort((letters, -norms[letters]))     # norm descending, then index
+    alphabet, signed = letters[by_norm], signed[by_norm]
     # the largest score: n_max letters of weight at most max|s|, plus 2 rho
     if n_max * int(np.abs(signed).max()) + 2 * d.radius_num >= 2**63:
         raise PreconditionError("beam weights", "loop weights overflow int64")
@@ -915,12 +924,12 @@ def alpha_lambda(d: PseudometricTable, lam, gamma, mode: str = "exhaustive",
     else:
         raise PreconditionError("mode", "mode must be exhaustive or beam")
     if found is not None:
-        candidates.append((found[0], LambdaSequence.build(d, lam, found[1])))
+        candidates.append(found)
 
     if not candidates:
         raise EmptyInput("S_lambda empty within the length bound")
-    candidates.sort(key=lambda c: (c[0], c[1].entries))
-    alpha, witness = candidates[0]
+    alpha, entries = min(candidates)
+    witness = LambdaSequence.build(d, lam, entries)
     return AlphaResult(alpha, witness, lower, upper, mode, complete,
                        range_notice, n_max)
 
@@ -951,10 +960,10 @@ def loop_quantization_check(ctx: SignContext, lam, alpha, trials: int,
     if ctx.gamma > 0 and not lam > 10**5 * ctx.gamma:
         raise PreconditionError("lambda range", "need lambda > 1e5 gamma")
     g = d.group
-    gens = [x for x in d.ball_indices(lam).tolist() if x != g.identity]
     words = _word_weights(ctx, lam)     # BFS words: deterministic closures
     if words is None:   # N(lambda) = {e} too: a SignContext implies N > 1
         raise MinimumResolution("N(lambda) does not generate the group")
+    gens = _alphabet(d, lam)
     _, _, n_max = _loop_bounds(d, lam)
     tw, depth = words
     diameter = int(depth.max())
@@ -963,14 +972,14 @@ def loop_quantization_check(ctx: SignContext, lam, alpha, trials: int,
     checked = 0
     for _ in range(trials):
         walk_len = int(rng.integers(0, max(1, n_max - diameter)))
-        walk = [gens[int(i)] for i in rng.integers(0, len(gens), walk_len)]
+        walk = gens[rng.integers(0, gens.size, walk_len)]
         p = g.identity
-        for a in walk:
+        for a in walk.tolist():
             p = g.mul(p, a)
         closure = g.inv(p)
         if not 0 < walk_len + depth[closure] <= n_max:
             continue
-        t = Fraction(abs(int(tw[walk].sum() + tw[closure])), d.den)
+        t = Fraction(abs(sum(tw[walk].tolist()) + int(tw[closure])), d.den)
         max_res = max(max_res, abs(t - round(t / alpha) * alpha))
         checked += 1
     return QuantizationReport(checked, max_res, max_res <= alpha / 200)

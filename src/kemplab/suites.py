@@ -22,9 +22,8 @@ from .groups import (Arc, Character, GroupModel, cyclic_subgroup,
                      make_cyclic, make_product, symmetric_group_table,
                      make_from_table)
 from .inverse1d import TorusStructure, torus_inverse
-from .pseudometric import (SignContext, ball, ball_growth_check,
-                           pseudometric_from_set, relative_sign,
-                           total_weight)
+from .pseudometric import (SignContext, _relative_signs, ball, ball_growth_check,
+                           is_irreducible, pseudometric_from_set, total_weight)
 from .sumset import Subset, bohr_preimage, fast_product_set, product_set
 
 
@@ -242,36 +241,23 @@ def sign_algebra_suite() -> SuiteResult:
     z = make_cyclic(360)
     d = pseudometric_from_set(z, Subset.from_indices(z, range(160)))
     ctx = SignContext(d, 0)
-    valid = ctx.references.tolist()     # N(rho/4) \ N(0)
-    failures = 0
-    total = 0
-    sgn = {}
-    for g1 in valid:
-        for g2 in valid:
-            sgn[(g1, g2)] = relative_sign(ctx, g1, g2)
+    valid = ctx.references     # N(rho/4) \ N(0), ascending
+    k = valid.size
+    sgn = _relative_signs(ctx, valid[:, None], valid)
+    inv = np.searchsorted(valid, z.inv_vec(valid))      # the row of each g^-1
     # (1) s(g, g^-1) = -1, s(g, g) = +1
-    for g1 in valid:
-        total += 2
-        if sgn[(g1, (360 - g1) % 360)] != -1:
-            failures += 1
-        if sgn[(g1, g1)] != 1:
-            failures += 1
+    total = 2 * k
+    failures = (int(np.count_nonzero(sgn[np.arange(k), inv] != -1))
+                + int(np.count_nonzero(np.diag(sgn) != 1)))
     # (2) symmetry and (3) inverse flips
-    for g1 in valid:
-        for g2 in valid:
-            total += 2
-            if sgn[(g1, g2)] != sgn[(g2, g1)]:
-                failures += 1
-            if sgn[(g1, g2)] != -sgn[((360 - g1) % 360, g2)]:
-                failures += 1
+    total += 2 * k * k
+    failures += int(np.count_nonzero(sgn != sgn.T)) + int(np.count_nonzero(sgn != -sgn[inv]))
     # (4) cocycle s(i,j) s(j,k) s(k,i) = 1 over all valid triples
-    arr = np.array([[sgn[(g1, g2)] for g2 in valid] for g1 in valid],
-                   dtype=np.int64)
-    prod = arr[:, :, None] * arr[None, :, :] * arr.T[:, None, :]
+    prod = sgn[:, :, None] * sgn[None, :, :] * sgn.T[:, None, :]
     total += prod.size
     failures += int(np.count_nonzero(prod != 1))
     return SuiteResult("sign-algebra", total, failures,
-                       {"valid_elements": len(valid)}, time.time() - t0)
+                       {"valid_elements": k}, time.time() - t0)
 
 
 def sequence_suite(samples: int = 1000, seed: int = 0) -> SuiteResult:
@@ -294,7 +280,6 @@ def sequence_suite(samples: int = 1000, seed: int = 0) -> SuiteResult:
         failures += 1
     rng = np.random.default_rng(seed)
     n4 = ball(d, 4 * lam).size
-    from .pseudometric import is_irreducible
     for i in range(samples):
         ln = int(rng.integers(2, 60))
         sign = 1 if rng.random() < 0.5 else -1

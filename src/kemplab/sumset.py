@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import GroupMismatch, PreconditionError
 from . import groups
-from .groups import Arc, Character, GroupModel
+from .groups import Arc, Character, GroupModel, _index_array
 
 # FFT bins farther than this from an integer trigger exact re-verification.
 FFT_GUARD = 0.25
@@ -69,14 +69,8 @@ class Subset:
 
     @classmethod
     def from_indices(cls, parent: GroupModel, indices) -> "Subset":
-        n = parent.order
-        idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices),
-                         dtype=np.int64)
-        bad = idx[(idx < 0) | (idx >= n)]
-        if bad.size:
-            raise PreconditionError("index range", f"{bad[0]} not in 0..{n-1}")
-        members = np.zeros(n, dtype=bool)
-        members[idx] = True
+        members = np.zeros(parent.order, dtype=bool)
+        members[_index_array(parent, indices)] = True
         return cls.from_members(parent, members)
 
     @classmethod

@@ -94,6 +94,19 @@ def test_cmd_pipeline_exact(planted_files, capsys):
     assert out["arc_a"]["length"] == 10 and out["arc_b"]["length"] == 12
 
 
+def test_cmd_pipeline_image_smallness_fails_in_structural_control(planted_files, capsys):
+    # unshrunk, the planted pair's images cover 22 of 48 cells: structural
+    # control's precondition refuses it, with the verdict exit code
+    tmp_path, prefix = planted_files
+    code = main(["pipeline", "--group", str(prefix) + ".group",
+                 "--set-a", str(prefix) + ".a", "--set-b", str(prefix) + ".b",
+                 "--delta", "1/10", "--target-modulus", "48", "--shrink", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "StageError: pipeline stage 'structural control' failed: PreconditionError: "
+        "precondition 'image smallness' failed: mu(chi(A))+mu(chi(B)) = 11/24 >= 1/5")
+
+
 def test_cmd_pipeline_names_the_stage_of_a_library_error(tmp_path, capsys):
     # a planted pair on Z24 x Z24 whose working arcs span 2 cells, too
     # coarse for a sign reference: the verdict exit code, with the stage

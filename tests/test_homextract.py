@@ -228,20 +228,23 @@ def test_pipeline_idempotent_on_its_own_output():
     assert second.eps_a == 0 and second.eps_b == 0
 
 
+def perturb(rng, s, k, cols):
+    """Criterion 7's noise on a Z48 x Z5 set: k of its cells dropped and
+    k cells of the Z48 columns ``cols`` added, drawn from ``rng``."""
+    g = s.parent
+    drop = rng.choice(s.indices(), size=k, replace=False)
+    avail = [x for x in range(240) if not s.contains(x) and (x // 5) in cols]
+    add = rng.choice(avail, size=k, replace=False)
+    return s.difference(Subset.from_indices(g, drop)).union(Subset.from_indices(g, add))
+
+
 def test_pipeline_perturbed_regression_bound():
     g, chi, a, b = planted()
     rng = np.random.default_rng(11)
 
-    def perturb(s, k, cols):
-        drop = rng.choice(s.indices(), size=k, replace=False)
-        avail = [x for x in range(240) if not s.contains(x) and (x // 5) in cols]
-        add = rng.choice(avail, size=k, replace=False)
-        return s.difference(Subset.from_indices(g, drop)).union(
-            Subset.from_indices(g, add))
-
     for noise in (1, 3):
-        a1 = perturb(a, noise, [10, 11])
-        b1 = perturb(b, noise, [12, 13])
+        a1 = perturb(rng, a, noise, [10, 11])
+        b1 = perturb(rng, b, noise, [12, 13])
         res = inverse_pipeline(g, a1, b1, Fraction(1, 2),
                                PipelineConfig(target_modulus=48))
         assert np.array_equal(res.character.image, chi.image)
@@ -289,19 +292,76 @@ def test_pipeline_denoise_fault_names_shrink_stage():
     g, chi, a, b = planted()
     rng = np.random.default_rng(113)
 
-    def perturb(s, k, cols):
-        drop = rng.choice(s.indices(), size=k, replace=False)
-        avail = [x for x in range(240) if not s.contains(x) and (x // 5) in cols]
-        add = rng.choice(avail, size=k, replace=False)
-        return s.difference(Subset.from_indices(g, drop)).union(
-            Subset.from_indices(g, add))
-
-    a1 = perturb(a, 2, [10, 11])
-    b1 = perturb(b, 2, [12, 13])
+    a1 = perturb(rng, a, 2, [10, 11])
+    b1 = perturb(rng, b, 2, [12, 13])
     with pytest.raises(StageError) as exc:
         inverse_pipeline(g, a1, b1, Fraction(1, 2), PipelineConfig(target_modulus=48))
     assert exc.value.stage == "shrink"
     assert "side a" in str(exc.value) and "4 cells against a target of 20" in str(exc.value)
+
+
+def test_pipeline_image_smallness_is_structural_controls_precondition():
+    # without a shrink the working pair is the planted pair itself, whose
+    # images cover 10 + 12 of 48 cells
+    g, chi, a, b = planted()
+    with pytest.raises(StageError) as exc:
+        inverse_pipeline(g, a, b, Fraction(1, 10),
+                         PipelineConfig(target_modulus=48, shrink_target=Fraction(1)))
+    assert exc.value.stage == "structural control"
+    cause = exc.value.__cause__
+    assert isinstance(cause, PreconditionError) and cause.name == "image smallness"
+    assert "= 11/24 >= 1/5" in str(cause)
+
+
+def criterion_7_pairs():
+    """Criterion 7's five inputs as (A, B, delta): the exact planted pair
+    at delta 1/10, then noise 1-4 drawn in turn from default_rng(11) at
+    delta 1/2."""
+    g, chi, a, b = planted()
+    rng = np.random.default_rng(11)
+    pairs = [(a, b, Fraction(1, 10))]
+    for noise in (1, 2, 3, 4):
+        a1 = perturb(rng, a, noise, [10, 11])
+        pairs.append((a1, perturb(rng, b, noise, [12, 13]), Fraction(1, 2)))
+    return g, pairs
+
+
+def fit_fields(res):
+    return (res.character.image.tolist(), res.character.modulus, res.arc_a, res.arc_b,
+            res.eps_a, res.eps_b, res.contained_a, res.contained_b, res.diagnostics)
+
+
+def test_fitted_gamma_policy_matches_exact_on_linear_working_sets():
+    # every working set of criterion 7 is exactly linear, so the fitted
+    # gamma is 0 and the whole run is the exact one
+    g, pairs = criterion_7_pairs()
+    for a, b, delta in pairs:
+        exact = inverse_pipeline(g, a, b, delta, PipelineConfig(target_modulus=48))
+        fitted = inverse_pipeline(g, a, b, delta,
+                                  PipelineConfig(target_modulus=48, gamma_policy="fitted"))
+        assert exact.diagnostics["gamma"] == 0
+        assert fit_fields(fitted) == fit_fields(exact)
+
+
+def test_fitted_gamma_policy_passes_the_linearity_fit_it_measures():
+    # unshrunk, the noise-1 pair's set is 1/120 off linear: exact stops at
+    # the fit, fitted takes gamma = 1/120 and then finds lambda outside
+    # (44 gamma, rho/16 - gamma)
+    g, pairs = criterion_7_pairs()
+    a, b, delta = pairs[1]
+
+    def run(policy):
+        with pytest.raises(StageError) as exc:
+            inverse_pipeline(g, a, b, delta, PipelineConfig(
+                target_modulus=48, shrink_target=Fraction(1), gamma_policy=policy))
+        return exc.value
+
+    exact = run("exact")
+    assert exact.stage == "linearity fit" and "(worst 1/120)" in str(exact)
+    fitted = run("fitted")
+    assert fitted.stage == "loop weight unit"
+    assert isinstance(fitted.__cause__, PreconditionError)
+    assert fitted.__cause__.name == "lambda range"
 
 
 def planted_two_cell_pairs():
@@ -675,8 +735,8 @@ def test_almost_hom_checks_the_lambda_range_before_any_sign(monkeypatch):
     z, d, gamma = noisy_arc(400, 185)
     assert gamma == Fraction(1, 200)
     signs = []
-    sign = pseudometric.relative_sign
-    monkeypatch.setattr(pseudometric, "relative_sign",
+    sign = pseudometric._relative_signs
+    monkeypatch.setattr(pseudometric, "_relative_signs",
                         lambda *args: signs.append(args) or sign(*args))
     for lam in (Fraction(3, 200), Fraction(1, 20)):
         loop = LambdaSequence.build(d, lam, [1] * 400)

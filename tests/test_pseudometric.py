@@ -21,7 +21,7 @@ from kemplab import groups, pseudometric
 from kemplab.errors import AmbiguousSign, EmptyInput, PreconditionError
 from kemplab.groups import cayley_bfs, cayley_word
 from kemplab.homextract import _auto_lambda
-from kemplab.pseudometric import _alpha_beam, _alpha_exhaustive, _loop_bounds
+from kemplab.pseudometric import _alpha_beam, _alpha_exhaustive, _loop_bounds, signed_weight
 
 
 def arc_table(n=360, length=160):
@@ -767,9 +767,11 @@ def naive_alpha_beam(ctx, lam, n_max, seed):
     d = ctx.d
     g = d.group
     norms = d.norm_num
-    letters, weight = pseudometric._letters(ctx, lam)
-    alphabet = sorted(letters, key=lambda a: (-int(norms[a]), a))
     cut = d.cut(lam)
+    # its own alphabet and weights, one scalar sign per letter
+    letters = [x for x in range(g.order) if int(norms[x]) <= cut and x != g.identity]
+    weight = {a: relative_sign(ctx, ctx.g0, a) * int(norms[a]) for a in letters}
+    alphabet = sorted(letters, key=lambda a: (-int(norms[a]), a))
     rng_master = np.random.default_rng(seed)
     best, stops = None, []
     for _ in range(pseudometric.BEAM_RESTARTS):
@@ -1041,3 +1043,252 @@ def test_order_limit_before_an_n_squared_array():
         tracemalloc.stop()
     assert peak < 2**20          # an N x N int64 array here is 128 MiB
     assert "full_table" not in g._cache
+
+
+# -- the lambda-word rules against today's scalar loops ----------------------
+#
+# Test-side copies of the scalar rules the array rules replaced: the sign
+# trichotomy one pair at a time, and the windows of a word read one end at
+# a time, each (the entry before) x (the window after it).
+
+
+def scalar_sign(ctx, g1, g2):
+    d = ctx.d
+    n1, n2 = d.norm_num.item(g1), d.norm_num.item(g2)
+    if not n1 + n2 < ctx.range_cut:
+        raise PreconditionError("sign range", "||g1|| + ||g2|| must be < rho - gamma")
+    if min(n1, n2) <= ctx.zero_cut:
+        return 0
+    p = d.norm_num.item(d.group.mul(g1, g2))
+    in_sum = abs(p - (n1 + n2)) <= ctx.window_cut
+    in_diff = abs(p - abs(n1 - n2)) <= ctx.window_cut
+    if in_sum and in_diff:
+        raise AmbiguousSign(f"windows overlap at ({g1}, {g2}); min norm too small")
+    if in_sum:
+        return 1
+    if in_diff:
+        return -1
+    raise AmbiguousSign(
+        f"||g1 g2|| = {Fraction(p, d.den)} lies between the sum and difference windows")
+
+
+def scalar_signed_weight(ctx, seq):
+    d = ctx.d
+    return Fraction(sum(scalar_sign(ctx, ctx.g0, g) * d.norm_num.item(g) for g in seq), d.den)
+
+
+def scalar_window_in_ball(d, cut, tail, a):
+    p = a
+    for k in range(1, len(tail) + 1):
+        p = d.group.mul(tail[-k], p)
+        if d.norm_num.item(p) <= cut:
+            return k + 1, p
+    return None
+
+
+def scalar_lambda_entries(d, cut, seq):
+    for e in seq:
+        if d.norm_num.item(e) > cut:
+            raise PreconditionError("lambda-sequence", f"entry {e} outside N(lambda)")
+    return list(seq)
+
+
+def scalar_is_irreducible(d, lam, seq):
+    cut = d.cut(lam)
+    seq = scalar_lambda_entries(d, cut, seq)
+    return not any(scalar_window_in_ball(d, cut, seq[max(0, k - 3):k], seq[k])
+                   for k in range(1, len(seq)))
+
+
+def scalar_concatenation(ctx, lam, seq):
+    d = ctx.d
+    cut = d.cut(lam)
+    seq = scalar_lambda_entries(d, cut, seq)
+    t_orig = scalar_signed_weight(ctx, seq)
+    n0 = len(seq)
+    while True:
+        hits = [(w[0], k, w[1]) for k in range(1, len(seq))
+                if (w := scalar_window_in_ball(d, cut, seq[max(0, k - 3):k], seq[k]))]
+        if not hits:
+            break
+        length, k, p = min(hits)
+        seq[k + 1 - length:k + 1] = [p]
+    drift = 22 * (n0 - len(seq)) * ctx.gamma
+    if abs(scalar_signed_weight(ctx, seq) - t_orig) > drift:
+        raise AssertionError("concatenation drift exceeded 22 (n-m) gamma")
+    return tuple(seq), drift
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return "value", f(*args)
+    except (AmbiguousSign, PreconditionError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+S3 = make_from_table(symmetric_group_table(3)[0], "S3")
+WORD_MODELS = {
+    # (model, A, lambda): each linear arc, and the same arc with one cell
+    # moved, whose signs at gamma = 0 leave many elements between the windows
+    "z360": (make_cyclic(360), range(160), Fraction(5, 360)),
+    "z360 noisy": (make_cyclic(360), [*range(159), 161], Fraction(5, 360)),
+    "z48 x z5": (make_product(make_cyclic(48), make_cyclic(5)), range(20), Fraction(1, 48)),
+    "z48 x z5 noisy": (make_product(make_cyclic(48), make_cyclic(5)), [*range(19), 23],
+                       Fraction(1, 48)),
+    "s3 x z20": (make_product(S3, make_cyclic(20)), [x for x in range(120) if x % 20 < 8],
+                 Fraction(1, 20)),
+    "s3 x z20 noisy": (make_product(S3, make_cyclic(20)),
+                       [x for x in range(120) if x % 20 < 8 and x != 7] + [9], Fraction(1, 20)),
+    # S4 is not abelian: a window read in the wrong order has another product
+    "s4": (make_from_table(symmetric_group_table(4)[0], "S4"),
+           [0, 4, 6, 9, 10, 12, 13, 14, 15], Fraction(5, 24)),
+    "s4 wide": (make_from_table(symmetric_group_table(4)[0], "S4"),
+                [0, 4, 6, 9, 10, 12, 13, 14, 15], Fraction(1, 4)),
+}
+_WORD_CASES = {}
+
+
+def word_case(kind):
+    """(ctx, lam, ball letters, edge letters, elements just outside N(lambda),
+    entries by sign class against g0), built once per kind."""
+    if kind not in _WORD_CASES:
+        g, members, lam = WORD_MODELS[kind]
+        d = pseudometric_from_set(g, Subset.from_indices(g, list(members)))
+        ctx = SignContext(d, 0)
+        cut = d.cut(lam)
+        norms = d.norm_num
+        letters = [x for x in range(g.order) if norms[x] <= cut and x != g.identity]
+        top = int(max(norms[letters]))
+        edge = [x for x in letters if norms[x] == top]
+        above = int(norms[norms > cut].min())
+        outside = np.flatnonzero(norms == above).tolist()
+        classes = {}
+        for x in range(g.order):
+            classes.setdefault(outcome(scalar_sign, ctx, ctx.g0, x)[0], []).append(x)
+        _WORD_CASES[kind] = ctx, lam, letters, edge, outside, classes
+    return _WORD_CASES[kind]
+
+
+def draw_word(data, kind):
+    """A word of 0..12 letters of N(lambda), mostly at its edge; with one
+    entry replaced by an element just outside the ball now and then."""
+    _, _, letters, edge, outside, _ = word_case(kind)
+    letter = st.one_of(st.sampled_from(edge), st.sampled_from(edge), st.sampled_from(letters))
+    word = data.draw(st.lists(letter, max_size=12))
+    if word and data.draw(st.integers(0, 5)) == 0:
+        word[data.draw(st.integers(0, len(word) - 1))] = data.draw(st.sampled_from(outside))
+    return word
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(WORD_MODELS)), st.data())
+def test_word_windows_match_the_scalar_loop(kind, data):
+    ctx, lam, *_ = word_case(kind)
+    d = ctx.d
+    word = draw_word(data, kind)
+    assert outcome(is_irreducible, d, lam, word) == outcome(scalar_is_irreducible, d, lam, word)
+
+    def concatenation(ctx, lam, word):
+        seq, drift = irreducible_concatenation(ctx, lam, word)
+        return seq.entries, drift
+    assert outcome(concatenation, ctx, lam, word) == \
+        outcome(scalar_concatenation, ctx, lam, list(word))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(WORD_MODELS)), st.data())
+def test_signed_weight_matches_the_scalar_trichotomy(kind, data):
+    # entries from every sign class: a word may hold an ambiguous entry and
+    # one outside the sign range, in either order
+    ctx, _, letters, _, _, classes = word_case(kind)
+    pools = [st.sampled_from(xs) for xs in classes.values()] + [st.sampled_from(letters)]
+    word = data.draw(st.lists(st.one_of(pools), max_size=8))
+    assert outcome(signed_weight, ctx, word) == outcome(scalar_signed_weight, ctx, word)
+
+
+@pytest.mark.parametrize("kind", ["z360 noisy", "z48 x z5 noisy", "s3 x z20 noisy", "s4"])
+def test_the_first_offending_entry_names_the_error(kind):
+    ctx, *_, classes = word_case(kind)
+    fine, ambiguous, far = (classes[k][-1] for k in ("value", "AmbiguousSign", "PreconditionError"))
+    for word, error in (([fine, ambiguous, far], AmbiguousSign),
+                        ([fine, far, ambiguous], PreconditionError)):
+        with pytest.raises(error) as exc:
+            signed_weight(ctx, word)
+        assert outcome(scalar_signed_weight, ctx, word) == (error.__name__, str(exc.value))
+
+
+@pytest.mark.parametrize("kind", ["s4", "z360 noisy"])
+def test_relative_sign_matches_the_scalar_trichotomy_on_every_pair(kind):
+    ctx = word_case(kind)[0]
+    n = ctx.d.group.order
+    pairs = [(x, y) for x in range(0, n, 1 if n < 100 else 7) for y in range(n)]
+    for x, y in pairs:
+        assert outcome(relative_sign, ctx, x, y) == outcome(scalar_sign, ctx, x, y), (x, y)
+
+
+@pytest.mark.parametrize("bad", [-1, 360])
+def test_entries_outside_the_group_raise_index_range(bad):
+    # a negative entry would wrap to the end of the norm vector and N
+    # would read past it; both are refused, naming the entry
+    z, d = arc_table()
+    ctx = SignContext(d, 0)
+    lam = Fraction(5, 360)
+    calls = [lambda: relative_sign(ctx, bad, 3), lambda: relative_sign(ctx, 3, bad),
+             lambda: signed_weight(ctx, [3, bad]), lambda: total_weight(ctx, [3, bad]),
+             lambda: is_irreducible(d, lam, [3, bad]),
+             lambda: irreducible_concatenation(ctx, lam, [3, bad]),
+             lambda: LambdaSequence.build(d, lam, [3, bad])]
+    for call in calls:
+        with pytest.raises(PreconditionError, match=f"{bad} not in 0..359") as exc:
+            call()
+        assert exc.value.name == "index range"
+
+
+def test_signs_and_weights_stay_exact_for_any_int64_numerator():
+    # the arc-160 table with norms and denominator scaled by c: norms of
+    # 100 cells sum past 2^63, and a hundred entries of 5 cells weigh
+    # 500 c, far past it
+    z, d = arc_table()
+    c = (2**63 - 1) // 170
+    big = PseudometricTable(z, d.norm_num * c, d.den * c)
+    ctx = SignContext(big, 0)
+    assert total_weight(ctx, [5] * 100) == Fraction(25, 18)
+    assert signed_weight(ctx, [355] * 100 + [3]) == Fraction(-497, 360)
+    with pytest.raises(PreconditionError, match="sign range"):
+        relative_sign(ctx, 100, 100)
+    assert relative_sign(ctx, 79, 80) == 1 and relative_sign(ctx, 79, 280) == -1
+    lam = Fraction(5, 360)
+    seq, drift = irreducible_concatenation(ctx, lam, [2, 2, 5, 1, 1])
+    assert (seq.entries, drift) == ((4, 5, 2), 0)
+
+
+def constant_loops_one_by_one(ctx, lam, n_max):
+    """Each letter's constant loop of full order, checked and weighed as a
+    word by the scalar loops, in letter order."""
+    d = ctx.d
+    g = d.group
+    out = []
+    for a in range(g.order):
+        if a == g.identity or d.norm_num[a] > d.cut(lam):
+            continue
+        k = g.element_order(a)
+        if k <= n_max and scalar_is_irreducible(d, lam, [a] * k):
+            out.append((abs(scalar_signed_weight(ctx, [a] * k)), (a,) * k))
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(WORD_MODELS) + ["s3 x z5"])
+def test_constant_loops_match_checking_each_word(kind):
+    # on S3 x Z5 the squares and cubes of letter 1 leave N(1/15) but its
+    # fourth power is back inside it
+    if kind == "s3 x z5":
+        g = make_product(S3, make_cyclic(5))
+        d = pseudometric_from_set(g, Subset.from_indices(g, [2, 3, 25, 29]))
+        ctx, lam = SignContext(d, 0), Fraction(1, 15)
+        assert not is_irreducible(d, lam, [1] * g.element_order(1))
+    else:
+        ctx, lam, *_ = word_case(kind)
+    n_max = _loop_bounds(ctx.d, lam)[2]
+    assert outcome(pseudometric._power_loop_candidates, ctx, lam, n_max) == \
+        outcome(constant_loops_one_by_one, ctx, lam, n_max)
